@@ -15,8 +15,8 @@ from __future__ import annotations
 import json
 
 from benchmarks.conftest import run_and_print
+from repro.bench.artifact import ARTIFACT_ENV_VAR
 from repro.bench.calibrate import (
-    ARTIFACT_ENV_VAR,
     ARTIFACT_NAME,
     INSTANCES,
     RESTART_COUNTS,

@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 
 from benchmarks.conftest import run_and_print
-from repro.bench.compression import ARTIFACT_ENV_VAR, ARTIFACT_NAME
+from repro.bench.artifact import ARTIFACT_ENV_VAR
+from repro.bench.compression import ARTIFACT_NAME
 from repro.bench.runner import run_table
 
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 import json
 
 from benchmarks.conftest import run_and_print
-from repro.bench.drift import ARTIFACT_ENV_VAR, ARTIFACT_NAME, DRIFTS
+from repro.bench.artifact import ARTIFACT_ENV_VAR
+from repro.bench.drift import ARTIFACT_NAME, DRIFTS
 from repro.bench.runner import run_table
 
 

@@ -4,7 +4,8 @@ Two claims are pinned (on ``rndAt64x100``, a Table-2/3 instance with
 ~1000 attributes — well above the 200-attribute bar):
 
 * the annealer's inner loop runs >= 3x faster with the incremental
-  evaluator than with the dense path it replaces,
+  evaluator than with the dense oracle it replaces
+  (``tests/oracles.py``),
 * for fixed seeds the two paths return the same result, here and on
   smaller Table-3 instances (the incremental path changes the cost
   arithmetic, not the search).
@@ -27,6 +28,7 @@ from repro.sa.annealer import SimulatedAnnealer
 from repro.sa.options import SaOptions
 from repro.sa.state import random_transaction_placement
 from repro.sa.subsolve import SubproblemSolver
+from tests.oracles import DenseAnnealer
 
 #: Pure-cost parameters: the dense path then pays one (|A|,|T|,|S|)
 #: einsum per iteration, the paper's reporting objective.
@@ -40,11 +42,16 @@ def large_coefficients():
     return coefficients
 
 
+def _annealer_class(incremental: bool):
+    """The production annealer, or the dense oracle it replaced."""
+    return SimulatedAnnealer if incremental else DenseAnnealer
+
+
 def _timed_run(coefficients, incremental: bool):
-    annealer = SimulatedAnnealer(
+    annealer = _annealer_class(incremental)(
         coefficients,
         4,
-        SaOptions(inner_loops=40, max_outer_loops=3, seed=0, incremental=incremental),
+        SaOptions(inner_loops=40, max_outer_loops=3, seed=0),
     )
     started = time.perf_counter()
     _, _, cost = annealer.run()
@@ -114,12 +121,10 @@ def test_table3_instances_unchanged_for_fixed_seeds(name):
     coefficients = build_coefficients(named_instance(name), CostParameters())
     costs = {}
     for incremental in (True, False):
-        annealer = SimulatedAnnealer(
+        annealer = _annealer_class(incremental)(
             coefficients,
             3,
-            SaOptions(
-                inner_loops=10, max_outer_loops=10, seed=1, incremental=incremental
-            ),
+            SaOptions(inner_loops=10, max_outer_loops=10, seed=1),
         )
         _, _, costs[incremental] = annealer.run()
     assert costs[True] == pytest.approx(costs[False], rel=1e-9)

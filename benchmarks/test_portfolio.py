@@ -8,7 +8,8 @@ Three claims are pinned on ``rndAt64x100`` (the Table-2/3 instance with
   seed) in comparable wall-clock — well under the 8x a serial rerun of
   every restart would cost;
 * the vectorised balance-aware (``lambda = 0.5``) sub-solves are >= 3x
-  faster than the reference loop path with bitwise-equal layouts;
+  faster than the reference loops in ``tests/oracles.py`` with
+  bitwise-equal layouts;
 * the sweep-level :class:`~repro.qp.linearize.LinearizationCache` cuts
   ``build_linearized_model`` time measurably across a 10-point penalty
   sweep.
@@ -35,6 +36,7 @@ from repro.sa.portfolio import run_portfolio
 from repro.sa.solver import SaPartitioner
 from repro.sa.state import random_transaction_placement
 from repro.sa.subsolve import SubproblemSolver
+from tests.oracles import LoopSubproblemSolver
 
 BALANCED = CostParameters(load_balance_lambda=0.5)
 
@@ -172,7 +174,7 @@ def test_balance_aware_subsolve_speedup(large_coefficients):
     """
     num_sites = 4
     fast = SubproblemSolver(large_coefficients, num_sites)
-    loop = SubproblemSolver(large_coefficients, num_sites, vectorized=False)
+    loop = LoopSubproblemSolver(large_coefficients, num_sites)
     rng = np.random.default_rng(0)
     x = random_transaction_placement(
         large_coefficients.num_transactions, num_sites, rng

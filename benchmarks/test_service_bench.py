@@ -17,7 +17,8 @@ import json
 
 from benchmarks.conftest import run_and_print
 from repro.bench.runner import run_table
-from repro.bench.service import ARTIFACT_ENV_VAR, ARTIFACT_NAME, STORM_SIZE
+from repro.bench.artifact import ARTIFACT_ENV_VAR
+from repro.bench.service import ARTIFACT_NAME, STORM_SIZE
 
 
 def run_table_target(profile):

@@ -14,7 +14,8 @@ import json
 
 from benchmarks.conftest import run_and_print
 from repro.bench.runner import run_table
-from repro.bench.transport import ARTIFACT_ENV_VAR, ARTIFACT_NAME
+from repro.bench.artifact import ARTIFACT_ENV_VAR
+from repro.bench.transport import ARTIFACT_NAME
 
 
 def run_table_target(profile):

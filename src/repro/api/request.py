@@ -31,6 +31,7 @@ from repro.model.compressed import COMPRESSION_TIERS
 from repro.model.instance import ProblemInstance
 from repro.model.serialize import instance_from_dict, instance_to_dict
 from repro.partition.current_layout import CurrentLayout
+from repro.sa.options import check_seed
 
 #: Version stamp of the request JSON document.
 REQUEST_FORMAT_VERSION = 1
@@ -75,8 +76,9 @@ class SolveRequest:
         ``latency``, ``symmetry_breaking``; ``"auto"`` additionally
         honours ``auto_cutoff``.
     seed:
-        Master seed; fills the strategy's own seed option when that is
-        not pinned in ``options``.
+        Master seed (a non-negative integer, or ``None``); fills the
+        strategy's own seed option when that is not pinned in
+        ``options``.
     time_limit:
         Wall-clock budget in seconds (QP solve limit, SA portfolio
         budget).  For a chained strategy one budget spans all stages:
@@ -124,6 +126,7 @@ class SolveRequest:
     def __post_init__(self) -> None:
         if self.num_sites < 1:
             raise OptionsError(f"need at least one site, got {self.num_sites}")
+        check_seed(self.seed)
         if self.compression not in COMPRESSION_MODES:
             raise OptionsError(
                 f"unknown compression mode {self.compression!r}; "

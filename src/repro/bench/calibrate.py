@@ -23,20 +23,17 @@ job; its tolerance band ships inside the artifact under ``"gate"``.
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from pathlib import Path
 
 from repro.api import Advisor, SolveRequest
+from repro.bench.artifact import write_artifact
 from repro.bench.config import BenchProfile, get_profile
 from repro.bench.formatting import BenchTable
 from repro.calibration import CalibrationTable, instance_class
 from repro.costmodel.config import CostParameters
 from repro.instances.library import named_instance
 
-#: Where the JSON artifact lands (default: the working directory).
-ARTIFACT_ENV_VAR = "REPRO_BENCH_ARTIFACT_DIR"
+#: File name of the JSON artifact (see :mod:`repro.bench.artifact`).
 ARTIFACT_NAME = "BENCH_calibration.json"
 
 NUM_SITES = 4
@@ -146,7 +143,6 @@ def calibrate(profile: BenchProfile | None = None) -> BenchTable:
     for row in rows:
         table.add_row(**row)
 
-    path = artifact_path()
     payload = {
         "bench": "calibration",
         "profile": profile.name,
@@ -156,14 +152,5 @@ def calibrate(profile: BenchProfile | None = None) -> BenchTable:
         "gate": dict(GATE),
         "calibration": calibration.to_dict(),
     }
-    try:
-        path.write_text(json.dumps(payload, indent=2) + "\n")
-        table.notes.append(f"artifact written to {path}")
-    except OSError as error:  # read-only CI checkouts keep the table
-        table.notes.append(f"artifact not written ({error})")
+    write_artifact(ARTIFACT_NAME, payload, table.notes)
     return table
-
-
-def artifact_path() -> Path:
-    """Where :func:`calibrate` writes its JSON artifact."""
-    return Path(os.environ.get(ARTIFACT_ENV_VAR, ".")) / ARTIFACT_NAME

@@ -17,12 +17,10 @@ directory) so successive runs leave a machine-readable perf trajectory.
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from pathlib import Path
 
 from repro.api import Advisor, SolveRequest
+from repro.bench.artifact import write_artifact
 from repro.bench.config import BenchProfile, get_profile
 from repro.bench.formatting import BenchTable
 from repro.costmodel.coefficients import build_coefficients
@@ -30,8 +28,7 @@ from repro.costmodel.config import CostParameters
 from repro.instances.library import named_instance
 from repro.reduction.compress import compress_instance
 
-#: Where the JSON artifact lands (default: the working directory).
-ARTIFACT_ENV_VAR = "REPRO_BENCH_ARTIFACT_DIR"
+#: File name of the JSON artifact (see :mod:`repro.bench.artifact`).
 ARTIFACT_NAME = "BENCH_compression.json"
 
 #: Instance classes of the curve: exact duplicates (lossless-mergeable)
@@ -58,10 +55,6 @@ def _request(
         compression_tolerance=tolerance,
     )
 
-
-def artifact_path() -> Path:
-    """Where :func:`compression` writes its JSON artifact."""
-    return Path(os.environ.get(ARTIFACT_ENV_VAR, ".")) / ARTIFACT_NAME
 
 
 def compression(profile: BenchProfile | None = None) -> BenchTable:
@@ -136,7 +129,6 @@ def compression(profile: BenchProfile | None = None) -> BenchTable:
         "objective-preserving merges); lossy gap is bounded by the "
         "reported bound"
     )
-    path = artifact_path()
     payload = {
         "bench": "compression",
         "profile": profile.name,
@@ -145,11 +137,7 @@ def compression(profile: BenchProfile | None = None) -> BenchTable:
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "rows": records,
     }
-    try:
-        path.write_text(json.dumps(payload, indent=2) + "\n")
-        table.notes.append(f"artifact written to {path}")
-    except OSError as error:  # read-only CI checkouts keep the table
-        table.notes.append(f"artifact not written ({error})")
+    write_artifact(ARTIFACT_NAME, payload, table.notes)
     return table
 
 

@@ -27,14 +27,12 @@ working directory).
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from pathlib import Path
 
 import numpy as np
 
 from repro.api import Advisor, SolveRequest
+from repro.bench.artifact import write_artifact
 from repro.bench.config import BenchProfile, get_profile
 from repro.bench.formatting import BenchTable
 from repro.costmodel.config import CostParameters
@@ -43,8 +41,7 @@ from repro.model.schema import SchemaBuilder
 from repro.model.workload import Query, Transaction, Workload
 from repro.partition.current_layout import CurrentLayout
 
-#: Where the JSON artifact lands (default: the working directory).
-ARTIFACT_ENV_VAR = "REPRO_BENCH_ARTIFACT_DIR"
+#: File name of the JSON artifact (see :mod:`repro.bench.artifact`).
 ARTIFACT_NAME = "BENCH_drift.json"
 
 NUM_SITES = 2
@@ -184,7 +181,6 @@ def drift(profile: BenchProfile | None = None) -> BenchTable:
     for row in rows:
         table.add_row(**row)
 
-    path = artifact_path()
     payload = {
         "bench": "drift",
         "profile": profile.name,
@@ -193,14 +189,5 @@ def drift(profile: BenchProfile | None = None) -> BenchTable:
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "rows": rows,
     }
-    try:
-        path.write_text(json.dumps(payload, indent=2) + "\n")
-        table.notes.append(f"artifact written to {path}")
-    except OSError as error:  # read-only CI checkouts keep the table
-        table.notes.append(f"artifact not written ({error})")
+    write_artifact(ARTIFACT_NAME, payload, table.notes)
     return table
-
-
-def artifact_path() -> Path:
-    """Where :func:`drift` writes its JSON artifact."""
-    return Path(os.environ.get(ARTIFACT_ENV_VAR, ".")) / ARTIFACT_NAME

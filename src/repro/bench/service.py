@@ -28,22 +28,19 @@ default: the working directory).
 from __future__ import annotations
 
 import asyncio
-import json
-import os
 import time
-from pathlib import Path
 
 import numpy as np
 
 from repro.api import Advisor, SolveRequest
+from repro.bench.artifact import write_artifact
 from repro.bench.config import BenchProfile, get_profile
 from repro.bench.formatting import BenchTable
 from repro.instances.random_gen import InstanceParameters, generate_instance
 from repro.service.config import ServiceConfig
 from repro.service.core import AsyncAdvisor
 
-#: Where the JSON artifact lands (default: the working directory).
-ARTIFACT_ENV_VAR = "REPRO_BENCH_ARTIFACT_DIR"
+#: File name of the JSON artifact (see :mod:`repro.bench.artifact`).
 ARTIFACT_NAME = "BENCH_service.json"
 
 NUM_SITES = 2
@@ -220,7 +217,6 @@ def service(profile: BenchProfile | None = None) -> BenchTable:
     for row in rows:
         table.add_row(**row)
 
-    path = artifact_path()
     payload = {
         "bench": "service",
         "profile": profile.name,
@@ -233,14 +229,5 @@ def service(profile: BenchProfile | None = None) -> BenchTable:
             "shed": shed_stats,
         },
     }
-    try:
-        path.write_text(json.dumps(payload, indent=2) + "\n")
-        table.notes.append(f"artifact written to {path}")
-    except OSError as error:  # read-only CI checkouts keep the table
-        table.notes.append(f"artifact not written ({error})")
+    write_artifact(ARTIFACT_NAME, payload, table.notes)
     return table
-
-
-def artifact_path() -> Path:
-    """Where :func:`service` writes its JSON artifact."""
-    return Path(os.environ.get(ARTIFACT_ENV_VAR, ".")) / ARTIFACT_NAME

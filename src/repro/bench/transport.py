@@ -21,12 +21,10 @@ directory) so successive runs leave a machine-readable trajectory.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 import warnings
-from pathlib import Path
 
+from repro.bench.artifact import write_artifact
 from repro.bench.config import BenchProfile, get_profile
 from repro.bench.formatting import BenchTable
 from repro.costmodel.coefficients import build_coefficients
@@ -41,8 +39,7 @@ from repro.sa.portfolio import run_portfolio
 from repro.sa.transport import Fault, FaultPlan, SocketTransportBackend
 from repro.sa.transport.protocol import KIND_TASK, decode_payload, encode_frame
 
-#: Where the JSON artifact lands (default: the working directory).
-ARTIFACT_ENV_VAR = "REPRO_BENCH_ARTIFACT_DIR"
+#: File name of the JSON artifact (see :mod:`repro.bench.artifact`).
 ARTIFACT_NAME = "BENCH_transport.json"
 
 NUM_SITES = 3
@@ -187,7 +184,6 @@ def transport(profile: BenchProfile | None = None) -> BenchTable:
     for row in rows:
         table.add_row(**row)
 
-    path = artifact_path()
     payload = {
         "bench": "transport",
         "profile": profile.name,
@@ -200,14 +196,5 @@ def transport(profile: BenchProfile | None = None) -> BenchTable:
             "worker_failures": storm_result.worker_failures,
         },
     }
-    try:
-        path.write_text(json.dumps(payload, indent=2) + "\n")
-        table.notes.append(f"artifact written to {path}")
-    except OSError as error:  # read-only CI checkouts keep the table
-        table.notes.append(f"artifact not written ({error})")
+    write_artifact(ARTIFACT_NAME, payload, table.notes)
     return table
-
-
-def artifact_path() -> Path:
-    """Where :func:`transport` writes its JSON artifact."""
-    return Path(os.environ.get(ARTIFACT_ENV_VAR, ".")) / ARTIFACT_NAME

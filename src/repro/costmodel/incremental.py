@@ -49,11 +49,13 @@ When the dense path is still used
 ---------------------------------
 
 The incremental evaluator covers objective (4)/(6) and the greedy
-sub-problem inputs.  The dense evaluator remains the single source of
-truth and is still used for: the final collapsed-layout guard, the
-``subsolver="exact"`` MIP sub-solves, the Appendix-A latency estimate,
-cost breakdowns and all reporting.  ``SaOptions(incremental=False)``
-forces the annealer onto the dense path end to end.
+sub-problem inputs; the annealer always runs on it.  The dense
+evaluator remains the single source of truth and is still used for:
+the final collapsed-layout guard, the ``subsolver="exact"`` MIP
+sub-solves, the Appendix-A latency estimate, cost breakdowns and all
+reporting.  The annealer costed end to end by the dense evaluator is a
+test oracle (``DenseAnnealer`` in ``tests/oracles.py``) pinned to the
+same result per seed.
 """
 
 from __future__ import annotations

@@ -1,12 +1,21 @@
 """Algorithm 1: the simulated-annealing loop.
 
-The inner loop evaluates one candidate per iteration.  By default the
-cost of the incumbent is kept as mutable state in an
+One loop serves both replication modes.  It owns the Section 5.1
+temperature schedule, patience, the wall-clock exit, acceptance, the
+:class:`AnnealingTrace` and the collapsed-layout guard; a small move
+policy supplies what differs between the modes:
+
+* :class:`_ReplicatedMoves` perturbs ``x`` and ``y`` and re-optimises
+  the free vector with ``findSolution``, alternating which one is fixed
+  (the paper's Algorithm 1),
+* :class:`_DisjointMoves` relocates whole read-sharing components and
+  derives ``y`` from ``x`` (Table 5's no-replication variant).
+
+The cost of the incumbent is kept as mutable state in an
 :class:`~repro.costmodel.incremental.IncrementalEvaluator`: a candidate
 is probed inside a ``begin_trial`` / ``commit``-or-``rollback`` bracket,
 so its objective (6) and the greedy sub-problem inputs are produced from
 delta updates instead of dense ``(|A|, |T|, |S|)`` products.
-``SaOptions(incremental=False)`` forces the dense evaluator everywhere.
 """
 
 from __future__ import annotations
@@ -81,184 +90,53 @@ class SimulatedAnnealer:
         options = self.options
         rng = np.random.default_rng(options.seed)
         started = time.perf_counter()
+        policy = _DisjointMoves if options.disjoint else _ReplicatedMoves
+        moves = policy(options, self.subsolver)
 
-        if options.disjoint:
-            return self._run_disjoint(rng, started)
-
-        warm = self._warm_start_matrix()
-        if warm is not None:
-            # Warm start: restart 0's initial solution replays the
-            # incumbent (repaired to feasibility), so the best visited
-            # cost is <= the stay-put cost by construction.
-            x, y = warm_start_solution(
-                self.subsolver, warm, disjoint=False
-            )[:2]
-        else:
-            # Line 3-5: random x, findSolution with x fixed.
-            x = random_transaction_placement(
-                self.coefficients.num_transactions, self.num_sites, rng
-            )
-            y = self._optimize_y(x)
+        x, y = moves.start(rng, self._warm_start_matrix())
         incremental = self._make_incremental(x, y)
-        if incremental is not None:
-            current_cost = incremental.objective6()
-        else:
-            current_cost = self.evaluator.objective6(x, y)
+        current_cost = incremental.objective6()
         best_x, best_y, best_cost = x, y, current_cost
 
         # Section 5.1 temperature rule.
         tau = initial_temperature(best_cost)
         freeze_tau = tau * options.freeze_ratio
-        fix = "x"
         stale_outer = 0
+        trace = self.trace
 
         for outer in range(options.max_outer_loops):
             improved = False
             for _ in range(options.inner_loops):
-                self.trace.iterations += 1
+                trace.iterations += 1
                 if (
                     options.time_limit is not None
                     and time.perf_counter() - started > options.time_limit
                 ):
-                    self._finish(outer + 1)
+                    trace.outer_loops = outer + 1
                     return self._best_against_collapsed(best_x, best_y, best_cost)
-                # Lines 8-10: perturb both vectors, re-optimise the free one.
-                if rng.random() < options.merge_probability:
-                    candidate_x = merge_sites(x, rng)
-                else:
-                    candidate_x = move_transactions(x, rng, options.move_fraction)
-                candidate_y = extend_replication(y, rng, options.move_fraction)
-                if incremental is not None:
-                    incremental.begin_trial()
-                    if fix == "x":
-                        new_x = candidate_x
-                        incremental.assign_x(new_x)
-                        new_y = self._optimize_y(new_x, incremental)
-                        incremental.assign_y(new_y)
-                    else:
-                        incremental.assign_y(candidate_y)
-                        new_x = self._optimize_x(candidate_y, incremental)
-                        incremental.assign_x(new_x)
-                        new_y = candidate_y | incremental.forced_y()
-                        incremental.assign_y(new_y)
-                    new_cost = incremental.objective6()
-                elif fix == "x":
-                    new_x = candidate_x
-                    new_y = self._optimize_y(new_x)
-                    new_cost = self.evaluator.objective6(new_x, new_y)
-                else:
-                    new_x = self._optimize_x(candidate_y)
-                    new_y = self.subsolver.repair_y(new_x, candidate_y)
-                    new_cost = self.evaluator.objective6(new_x, new_y)
+                new_x, new_y = moves.propose(x, y, rng, incremental)
+                new_cost = incremental.objective6()
                 delta = new_cost - current_cost
-                if delta <= 0 or rng.random() < math.exp(-delta / tau):
-                    if incremental is not None:
-                        incremental.commit()
-                    self.trace.accepted += 1
+                accepted = delta <= 0 or rng.random() < math.exp(-delta / tau)
+                if accepted:
+                    incremental.commit()
+                    trace.accepted += 1
                     if delta > 0:
-                        self.trace.accepted_worse += 1
+                        trace.accepted_worse += 1
                     x, y, current_cost = new_x, new_y, new_cost
                     if current_cost < best_cost:
                         best_x, best_y, best_cost = x, y, current_cost
                         improved = True
-                elif incremental is not None:
-                    incremental.rollback()
-                fix = "y" if fix == "x" else "x"
-            tau *= options.cooling_rate
-            self.trace.outer_loops = outer + 1
-            self.trace.best_history.append(best_cost)
-            stale_outer = 0 if improved else stale_outer + 1
-            if tau < freeze_tau or stale_outer >= options.patience:
-                break
-        self._finish(self.trace.outer_loops)
-        return self._best_against_collapsed(best_x, best_y, best_cost)
-
-    # ------------------------------------------------------------------
-    def _run_disjoint(
-        self, rng: np.random.Generator, started: float
-    ) -> tuple[np.ndarray, np.ndarray, float]:
-        """Disjoint variant: anneal over component placements.
-
-        Transactions sharing read attributes must be co-located when no
-        replication is allowed, so the unit of movement is the connected
-        component of the read-sharing graph and ``y`` follows ``x``
-        deterministically via the disjoint sub-solver.
-        """
-        options = self.options
-        labels = read_sharing_components(self.coefficients)
-        num_components = int(labels.max()) + 1
-        warm = self._warm_start_matrix()
-        if warm is not None:
-            # Deterministic warm start: each component goes to the site
-            # holding the most of its read attributes in the incumbent.
-            assignment = majority_component_assignment(
-                labels, num_components, self.num_sites, self.coefficients, warm
-            )
-        else:
-            assignment = rng.integers(0, self.num_sites, size=num_components)
-        x = component_placement_to_x(labels, assignment, self.num_sites)
-        y = self.subsolver.optimize_y_greedy(x, disjoint=True)
-        incremental = self._make_incremental(x, y)
-        if incremental is not None:
-            current_cost = incremental.objective6()
-        else:
-            current_cost = self.evaluator.objective6(x, y)
-        best = (x, y, current_cost)
-
-        tau = initial_temperature(current_cost)
-        freeze_tau = tau * options.freeze_ratio
-        stale_outer = 0
-        for outer in range(options.max_outer_loops):
-            improved = False
-            for _ in range(options.inner_loops):
-                self.trace.iterations += 1
-                if (
-                    options.time_limit is not None
-                    and time.perf_counter() - started > options.time_limit
-                ):
-                    self._finish(outer + 1)
-                    return self._best_against_collapsed(*best)
-                candidate = move_components(
-                    assignment, self.num_sites, rng, options.move_fraction
-                )
-                new_x = component_placement_to_x(labels, candidate, self.num_sites)
-                if incremental is not None:
-                    incremental.begin_trial()
-                    incremental.assign_x(new_x)
-                    k, load_weight, forced = incremental.y_subproblem_inputs()
-                    new_y = self.subsolver.optimize_y_greedy(
-                        new_x,
-                        disjoint=True,
-                        k=k,
-                        load_weight=load_weight,
-                        forced=forced,
-                    )
-                    incremental.assign_y(new_y)
-                    new_cost = incremental.objective6()
                 else:
-                    new_y = self.subsolver.optimize_y_greedy(new_x, disjoint=True)
-                    new_cost = self.evaluator.objective6(new_x, new_y)
-                delta = new_cost - current_cost
-                if delta <= 0 or rng.random() < math.exp(-delta / tau):
-                    if incremental is not None:
-                        incremental.commit()
-                    self.trace.accepted += 1
-                    if delta > 0:
-                        self.trace.accepted_worse += 1
-                    assignment, x, y, current_cost = candidate, new_x, new_y, new_cost
-                    if current_cost < best[2]:
-                        best = (x, y, current_cost)
-                        improved = True
-                elif incremental is not None:
                     incremental.rollback()
+                moves.settle(accepted)
             tau *= options.cooling_rate
-            self.trace.outer_loops = outer + 1
-            self.trace.best_history.append(best[2])
+            trace.outer_loops = outer + 1
+            trace.best_history.append(best_cost)
             stale_outer = 0 if improved else stale_outer + 1
             if tau < freeze_tau or stale_outer >= options.patience:
                 break
-        self._finish(self.trace.outer_loops)
-        return self._best_against_collapsed(*best)
+        return self._best_against_collapsed(best_x, best_y, best_cost)
 
     # ------------------------------------------------------------------
     def _best_against_collapsed(
@@ -291,14 +169,66 @@ class SimulatedAnnealer:
         layout = CurrentLayout.from_dict(self.options.warm_start)
         return layout.to_matrix(self.coefficients.instance, self.num_sites)
 
-    def _make_incremental(
-        self, x: np.ndarray, y: np.ndarray
-    ) -> IncrementalEvaluator | None:
-        if not self.options.incremental:
-            return None
+    def _make_incremental(self, x: np.ndarray, y: np.ndarray) -> IncrementalEvaluator:
         incremental = IncrementalEvaluator(self.coefficients, self.num_sites)
         incremental.reset(x, y)
         return incremental
+
+
+class _ReplicatedMoves:
+    """Lines 3-10 of Algorithm 1: perturb both vectors, re-optimise the
+    free one with ``findSolution``, alternating which vector is fixed."""
+
+    def __init__(self, options: SaOptions, subsolver: SubproblemSolver):
+        self.options = options
+        self.subsolver = subsolver
+        self.fix = "x"
+
+    def start(
+        self, rng: np.random.Generator, warm: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        if warm is not None:
+            # Warm start: restart 0's initial solution replays the
+            # incumbent (repaired to feasibility), so the best visited
+            # cost is <= the stay-put cost by construction.
+            return warm_start_solution(self.subsolver, warm)[:2]
+        # Lines 3-5: random x, findSolution with x fixed.
+        x = random_transaction_placement(
+            self.subsolver.coefficients.num_transactions,
+            self.subsolver.num_sites,
+            rng,
+        )
+        return x, self._optimize_y(x)
+
+    def propose(
+        self,
+        x: np.ndarray,
+        y: np.ndarray,
+        rng: np.random.Generator,
+        incremental: IncrementalEvaluator,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        # Lines 8-10: perturb both vectors, re-optimise the free one.
+        options = self.options
+        if rng.random() < options.merge_probability:
+            candidate_x = merge_sites(x, rng)
+        else:
+            candidate_x = move_transactions(x, rng, options.move_fraction)
+        candidate_y = extend_replication(y, rng, options.move_fraction)
+        incremental.begin_trial()
+        if self.fix == "x":
+            incremental.assign_x(candidate_x)
+            new_y = self._optimize_y(candidate_x, incremental)
+            incremental.assign_y(new_y)
+            return candidate_x, new_y
+        incremental.assign_y(candidate_y)
+        new_x = self._optimize_x(candidate_y, incremental)
+        incremental.assign_x(new_x)
+        new_y = candidate_y | incremental.forced_y()
+        incremental.assign_y(new_y)
+        return new_x, new_y
+
+    def settle(self, accepted: bool) -> None:
+        self.fix = "y" if self.fix == "x" else "x"
 
     def _optimize_y(
         self, x: np.ndarray, incremental: IncrementalEvaluator | None = None
@@ -307,33 +237,80 @@ class SimulatedAnnealer:
             return self.subsolver.optimize_y_exact(
                 x, time_limit=self.options.exact_time_limit
             )
-        if incremental is not None:
-            k, load_weight, forced = incremental.y_subproblem_inputs()
-            return self.subsolver.optimize_y_greedy(
-                x, k=k, load_weight=load_weight, forced=forced
-            )
-        return self.subsolver.optimize_y_greedy(x)
+        if incremental is None:
+            return self.subsolver.optimize_y_greedy(x)
+        k, load_weight, forced = incremental.y_subproblem_inputs()
+        return self.subsolver.optimize_y_greedy(
+            x, k=k, load_weight=load_weight, forced=forced
+        )
 
     def _optimize_x(
-        self, y: np.ndarray, incremental: IncrementalEvaluator | None = None
+        self, y: np.ndarray, incremental: IncrementalEvaluator
     ) -> np.ndarray:
         if self.options.subsolver == "exact":
             return self.subsolver.optimize_x_exact(
                 y, time_limit=self.options.exact_time_limit
             )
-        if incremental is not None:
-            cost, read_load, missing, static_load = incremental.x_subproblem_inputs()
-            return self.subsolver.optimize_x_greedy(
-                y,
-                cost=cost,
-                read_load=read_load,
-                missing=missing,
-                static_load=static_load,
-            )
-        return self.subsolver.optimize_x_greedy(y)
+        cost, read_load, missing, static_load = incremental.x_subproblem_inputs()
+        return self.subsolver.optimize_x_greedy(
+            y, cost=cost, read_load=read_load, missing=missing, static_load=static_load
+        )
 
-    def _finish(self, outer_loops: int) -> None:
-        self.trace.outer_loops = outer_loops
+
+class _DisjointMoves:
+    """Table 5's disjoint variant: anneal over component placements.
+
+    Transactions sharing read attributes must be co-located when no
+    replication is allowed, so the unit of movement is the connected
+    component of the read-sharing graph and ``y`` follows ``x``
+    deterministically via the disjoint greedy sub-solver.
+    """
+
+    def __init__(self, options: SaOptions, subsolver: SubproblemSolver):
+        self.options = options
+        self.subsolver = subsolver
+        self.labels = read_sharing_components(subsolver.coefficients)
+
+    def start(
+        self, rng: np.random.Generator, warm: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        num_sites = self.subsolver.num_sites
+        if warm is not None:
+            # Deterministic warm start: each component goes to the site
+            # holding the most of its read attributes in the incumbent.
+            x, y, self.assignment = warm_start_solution(
+                self.subsolver, warm, disjoint=True
+            )
+            return x, y
+        num_components = int(self.labels.max()) + 1
+        self.assignment = rng.integers(0, num_sites, size=num_components)
+        x = component_placement_to_x(self.labels, self.assignment, num_sites)
+        return x, self.subsolver.optimize_y_greedy(x, disjoint=True)
+
+    def propose(
+        self,
+        x: np.ndarray,
+        y: np.ndarray,
+        rng: np.random.Generator,
+        incremental: IncrementalEvaluator,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        num_sites = self.subsolver.num_sites
+        self.candidate = move_components(
+            self.assignment, num_sites, rng, self.options.move_fraction
+        )
+        new_x = component_placement_to_x(self.labels, self.candidate, num_sites)
+        incremental.begin_trial()
+        incremental.assign_x(new_x)
+        k, load_weight, forced = incremental.y_subproblem_inputs()
+        new_y = self.subsolver.optimize_y_greedy(
+            new_x, disjoint=True, k=k, load_weight=load_weight, forced=forced
+        )
+        incremental.assign_y(new_y)
+        return new_x, new_y
+
+    def settle(self, accepted: bool) -> None:
+        if accepted:
+            self.assignment = self.candidate
 
 
 def warm_start_solution(

@@ -63,9 +63,11 @@ from repro.sa.options import SaOptions
 #: ``warm_start`` options keyword (a new ``SaOptions`` constructor
 #: argument present in every options document) and, when a migration
 #: block is attached, the request's ``current_layout``/
-#: ``migration_cost`` members.  The socket transport negotiates this
-#: version at connect.
-ENVELOPE_FORMAT_VERSION = 3
+#: ``migration_cost`` members.  Version 4 dropped the ``incremental``
+#: options keyword (the annealer always evaluates incrementally), so a
+#: version-3 task would carry a keyword this reader refuses.  The socket
+#: transport negotiates this version at connect.
+ENVELOPE_FORMAT_VERSION = 4
 TASK_KIND = "sa-restart"
 RESULT_KIND = "sa-restart-result"
 

@@ -11,7 +11,7 @@ per-item ``rng.choice`` loops used to dominate the annealer's inner
 loop).  The sampled distributions are unchanged, but the generator
 stream is consumed differently, so fixed-seed trajectories differ from
 releases that used the sequential draws.  What stays pinned by tests:
-for any given seed, the incremental and dense evaluator paths visit
+for any given seed, the annealer and its dense-evaluator oracle visit
 identical candidates and return identical results.
 """
 

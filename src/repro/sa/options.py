@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Any, Mapping
 
 from repro.exceptions import OptionsError
@@ -12,6 +13,18 @@ from repro.exceptions import OptionsError
 #: temperature tau = -WORSE_FRACTION * C* / ln(ACCEPT_PROBABILITY).
 INITIAL_WORSE_FRACTION = 0.05
 INITIAL_ACCEPT_PROBABILITY = 0.5
+
+
+def check_seed(seed: Any) -> None:
+    """Raise :class:`~repro.exceptions.OptionsError` unless ``seed`` is
+    ``None`` or a non-negative integer (``bool`` excluded) — what
+    :func:`numpy.random.default_rng` accepts as a reproducible seed."""
+    if seed is None:
+        return
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+        raise OptionsError(
+            f"seed must be a non-negative integer or None, got {seed!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -38,7 +51,8 @@ class SaOptions:
     #: Wall-clock budget in seconds per annealing run (None = unlimited;
     #: 0 is legal and exits straight through the collapsed-layout guard).
     time_limit: float | None = None
-    #: RNG seed for reproducible runs.
+    #: RNG seed for reproducible runs: a non-negative integer, or
+    #: ``None`` for fresh OS entropy.
     seed: int | None = None
     #: ``findSolution`` implementation: "greedy" (vectorised, fast) or
     #: "exact" (a small MIP per iteration, like the paper's 30s-budget
@@ -48,11 +62,6 @@ class SaOptions:
     exact_time_limit: float = 30.0
     #: Disallow attribute replication (disjoint partitioning).
     disjoint: bool = False
-    #: Maintain objective (6) incrementally across inner-loop moves
-    #: (:class:`repro.costmodel.incremental.IncrementalEvaluator`).
-    #: ``False`` forces the dense evaluator on every iteration — slower,
-    #: but a useful cross-check and the reference semantics.
-    incremental: bool = True
     #: Probability that an x-move merges a whole site into another
     #: instead of relocating a random 10% (escapes plateaus on
     #: instances where every query touches most attributes).
@@ -122,6 +131,7 @@ class SaOptions:
         :class:`~repro.sa.solver.SaPartitioner`) so misconfigured runs
         fail before any annealing starts, not minutes into it.
         """
+        check_seed(self.seed)
         if self.inner_loops < 1:
             raise OptionsError("inner_loops must be >= 1")
         if not 0.0 < self.cooling_rate < 1.0:

@@ -119,6 +119,32 @@ class TestSolveRequest:
         with pytest.raises(OptionsError):
             SolveRequest.from_dict(payload)
 
+    @pytest.mark.parametrize("seed", [-1, True, 1.5, "3"])
+    def test_invalid_seed_rejected(self, tiny_instance, seed):
+        """Regression: ``seed=-1`` used to reach ``default_rng`` and
+        leak a bare ``ValueError`` out of the solve."""
+        with pytest.raises(OptionsError, match="seed"):
+            SolveRequest(tiny_instance, 2, strategy="sa", seed=seed)
+        payload = SolveRequest(tiny_instance, 2, strategy="sa").to_dict()
+        payload["seed"] = seed
+        with pytest.raises(OptionsError, match="seed"):
+            SolveRequest.from_dict(payload)
+        with pytest.raises(OptionsError, match="seed"):
+            SaOptions(seed=seed)
+
+    def test_negative_seed_refused_by_advise(self):
+        """Both ways a seed reaches ``advise`` — the request and the
+        strategy's own ``seed`` option — fail as ``OptionsError``."""
+        from repro.instances.library import named_instance
+
+        instance = named_instance("rndAt8x15")
+        with pytest.raises(OptionsError, match="seed"):
+            Advisor().advise(SolveRequest(instance, 2, strategy="sa", seed=-1))
+        with pytest.raises(OptionsError, match="seed"):
+            Advisor().advise(SolveRequest(
+                instance, 2, strategy="sa", options={"seed": -1}
+            ))
+
 
 # ----------------------------------------------------------------------
 # Registry
@@ -297,10 +323,17 @@ class TestParity:
         _assert_same_solution(shim, direct)
 
     def test_unknown_strategy_option_rejected(self, tiny_instance):
-        with pytest.raises(OptionsError, match="unknown options"):
-            advise(SolveRequest(
-                tiny_instance, 2, strategy="sa", options={"typo_knob": 1}
-            ))
+        # ``incremental`` was an SaOptions field once; it is refused
+        # like any typo now that the annealer has a single path.
+        for strategy, options in (
+            ("sa", {"typo_knob": 1}),
+            ("sa", {"incremental": False}),
+            ("sa-portfolio", {"incremental": False}),
+        ):
+            with pytest.raises(OptionsError, match="unknown options"):
+                advise(SolveRequest(
+                    tiny_instance, 2, strategy=strategy, options=options
+                ))
 
     def test_baselines_reject_disjoint(self, tiny_instance):
         for strategy in ("greedy", "affinity", "hillclimb", "round-robin"):

@@ -261,3 +261,65 @@ class TestNoWallClockConvention:
             "example.py",
         )
         assert ok == []
+
+
+# ----------------------------------------------------------------------
+# The repo benchmark's instrumented boundaries
+# ----------------------------------------------------------------------
+def test_perfbench_boundaries_resolve():
+    """Every boundary ``perfbench/tracing.py`` patches still exists, and
+    a traced anneal reaches the SA boundaries through the patched names.
+
+    A refactor under ``src/`` that renames one of them, or binds a
+    neighbourhood function where the patch cannot see it, would
+    otherwise only surface as a failed or silently thinner traced
+    benchmark run.
+    """
+    import importlib.util
+
+    from repro.costmodel.coefficients import build_coefficients
+    from repro.costmodel.config import CostParameters
+    from repro.sa.annealer import SimulatedAnnealer
+    from tests.conftest import small_random_instance
+
+    path = Path(__file__).parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+
+    attributes = tracing.current_attributes()
+    assert len(attributes) == len(tracing.BOUNDARIES)
+    # classmethods sit in the class dict as descriptors
+    assert all(
+        callable(getattr(attribute, "__func__", attribute))
+        for attribute in attributes
+    )
+
+    coefficients = build_coefficients(
+        small_random_instance(3, num_transactions=6), CostParameters()
+    )
+    recorder = tracing.SpanRecorder()
+    patches = tracing.install(recorder)
+    iterations = {}
+    try:
+        recorder.enabled = True
+        for disjoint in (False, True):
+            annealer = SimulatedAnnealer(
+                coefficients, 2,
+                SaOptions(inner_loops=4, max_outer_loops=2, seed=0,
+                          disjoint=disjoint),
+            )
+            annealer.run()
+            iterations[disjoint] = annealer.trace.iterations
+    finally:
+        patches.remove()
+    stats = recorder.stats()
+    for name in ("sa.anneal.replicated", "sa.anneal.disjoint",
+                 "sa.cover", "sa.place", "costmodel.incremental"):
+        assert stats.get(name, {}).get("calls", 0) > 0, name
+    # A replicated iteration perturbs x (merge or move) and y; a
+    # disjoint one moves components: every call must hit a patched name.
+    assert stats["sa.neighborhood"]["calls"] == (
+        2 * iterations[False] + iterations[True]
+    )
+    assert tracing.current_attributes() == attributes

@@ -23,6 +23,7 @@ from repro.exceptions import InstanceError, SolverError
 from repro.sa.annealer import SimulatedAnnealer
 from repro.sa.options import SaOptions
 from tests.conftest import random_feasible_solution, small_random_instance
+from tests.oracles import DenseAnnealer
 
 ALL_MODES = tuple(WriteAccounting)
 TOLERANCE = 1e-9
@@ -230,7 +231,7 @@ class TestAnnealerEquivalence:
     @pytest.mark.parametrize("disjoint", [False, True])
     def test_sa_results_match_dense_path(self, mode, lam, disjoint):
         """Fixed seeds: the annealer returns the same best cost with
-        the incremental evaluator and with the dense path."""
+        the incremental evaluator and with the dense oracle."""
         for seed in range(3):
             instance = small_random_instance(seed)
             coefficients = build_coefficients(
@@ -238,8 +239,10 @@ class TestAnnealerEquivalence:
                 CostParameters(write_accounting=mode, load_balance_lambda=lam),
             )
             costs = {}
-            for incremental in (True, False):
-                annealer = SimulatedAnnealer(
+            for incremental, annealer_class in (
+                (True, SimulatedAnnealer), (False, DenseAnnealer)
+            ):
+                annealer = annealer_class(
                     coefficients,
                     3,
                     SaOptions(
@@ -247,7 +250,6 @@ class TestAnnealerEquivalence:
                         max_outer_loops=6,
                         seed=seed,
                         disjoint=disjoint,
-                        incremental=incremental,
                     ),
                 )
                 x, y, cost = annealer.run()

@@ -340,6 +340,20 @@ class TestQueueEnvelopes:
         with pytest.raises(OptionsError, match="format_version"):
             decode_restart_result(json.dumps(tampered))
 
+    def test_version_3_task_refused(self, coefficients):
+        """Version 3 still carried the ``incremental`` options keyword;
+        a reader of version 4 refuses the document by its stamp."""
+        envelope = encode_restart_task(
+            coefficients, 2, SaOptions(seed=1, **FAST), RestartTask(0, 1)
+        )
+        payload = json.loads(envelope)
+        payload["format_version"] = 3
+        payload["request"]["options"]["incremental"] = True
+        with pytest.raises(OptionsError, match="format_version"):
+            decode_restart_task(json.dumps(payload))
+        with pytest.raises(OptionsError, match="format_version"):
+            QueueWorker().run(json.dumps(payload))
+
 
 # ----------------------------------------------------------------------
 # Queue fault paths

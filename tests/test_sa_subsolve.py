@@ -10,6 +10,7 @@ from repro.exceptions import SolverError
 from repro.sa.state import random_transaction_placement
 from repro.sa.subsolve import SubproblemSolver
 from tests.conftest import small_random_instance
+from tests.oracles import LoopSubproblemSolver
 
 
 @pytest.fixture
@@ -160,7 +161,7 @@ class TestOptimizeX:
 
 class TestFastMatchesLoop:
     """The default fast balance-aware placements must be *bitwise* equal
-    to the reference loop path (``vectorized=False``) — same IEEE
+    to the reference loops in ``tests/oracles.py`` — same IEEE
     operations in the same order, only the per-iteration overhead gone."""
 
     @pytest.mark.parametrize("lam", [0.3, 0.5, 0.9])
@@ -172,7 +173,7 @@ class TestFastMatchesLoop:
                 instance, CostParameters(load_balance_lambda=lam)
             )
             fast = SubproblemSolver(coefficients, num_sites)
-            loop = SubproblemSolver(coefficients, num_sites, vectorized=False)
+            loop = LoopSubproblemSolver(coefficients, num_sites)
             rng = np.random.default_rng(seed)
             x = random_transaction_placement(
                 coefficients.num_transactions, num_sites, rng
@@ -190,7 +191,7 @@ class TestFastMatchesLoop:
                 instance, CostParameters(load_balance_lambda=lam)
             )
             fast = SubproblemSolver(coefficients, num_sites)
-            loop = SubproblemSolver(coefficients, num_sites, vectorized=False)
+            loop = LoopSubproblemSolver(coefficients, num_sites)
             rng = np.random.default_rng(seed + 20)
             x0 = random_transaction_placement(
                 coefficients.num_transactions, num_sites, rng
@@ -208,7 +209,7 @@ class TestFastMatchesLoop:
                 instance, CostParameters(load_balance_lambda=lam)
             )
             fast = SubproblemSolver(coefficients, 3)
-            loop = SubproblemSolver(coefficients, 3, vectorized=False)
+            loop = LoopSubproblemSolver(coefficients, 3)
             x = np.zeros((coefficients.num_transactions, 3), dtype=bool)
             x[:, seed % 3] = True  # co-located -> disjoint feasible
             np.testing.assert_array_equal(
@@ -225,7 +226,7 @@ class TestFastMatchesLoop:
         )
         num_sites = 3
         fast = SubproblemSolver(coefficients, num_sites)
-        loop = SubproblemSolver(coefficients, num_sites, vectorized=False)
+        loop = LoopSubproblemSolver(coefficients, num_sites)
         rng = np.random.default_rng(0)
         num_attributes = coefficients.num_attributes
         x = random_transaction_placement(
@@ -254,7 +255,7 @@ class TestFastMatchesLoop:
         )
         num_sites = 4
         fast = SubproblemSolver(coefficients, num_sites)
-        loop = SubproblemSolver(coefficients, num_sites, vectorized=False)
+        loop = LoopSubproblemSolver(coefficients, num_sites)
         num_attributes = coefficients.num_attributes
         x = np.zeros((coefficients.num_transactions, num_sites), dtype=bool)
         x[:, 0] = True

@@ -466,6 +466,24 @@ class TestSocketService:
         assert caught.value.reason == "rate-limited"
         assert caught.value.retry_after > 0
 
+    def test_negative_seed_gets_an_error_frame(self):
+        """Regression: a request with ``seed=-1`` used to pass decoding
+        and crash inside the solve, leaving the client without a reply."""
+        from repro.service.wire import KIND_ADVISE
+
+        payload = sa_request(small_random_instance(24), seed=1).to_dict()
+        payload["seed"] = -1
+        with ServerThread() as server:
+            with ServiceClient(
+                "127.0.0.1", server.port, timeout=10.0
+            ) as client:
+                client.endpoint.send(KIND_ADVISE, id=1, request=payload)
+                answer = client.endpoint.recv(10.0)
+        assert answer is not None, "the service never replied"
+        assert answer["kind"] == "error"
+        assert answer["id"] == 1
+        assert "seed" in answer["message"]
+
     def test_handshake_rejects_wrong_envelope(self):
         from repro.sa.transport.protocol import Endpoint
         import socket as socket_module
