@@ -11,9 +11,9 @@ probability in the first iterations.
 
 ``SaOptions(restarts=N)`` runs a best-of-N multi-start portfolio
 (:mod:`repro.sa.portfolio`) over a pluggable execution backend
-(:mod:`repro.sa.backends`: serial, process pool, a JSON task queue, or
-the fault-tolerant multi-box socket transport of
-:mod:`repro.sa.transport` with its remote ``python -m repro.sa.worker``
+(:mod:`repro.sa.backends`: serial, process pool, or the fault-tolerant
+socket transport of :mod:`repro.sa.transport` — in-driver as the JSON
+task queue, or across remote ``python -m repro.sa.worker``
 processes), deterministic per master seed whatever runs where — and,
 for the queue/socket backends, whatever faults the transport suffers.
 Library callers normally reach all of this through
@@ -27,7 +27,6 @@ from repro.sa.portfolio import PortfolioResult, RestartOutcome, derive_restart_s
 from repro.sa.backends import (
     ExecutionBackend,
     ProcessPoolBackend,
-    QueueBackend,
     SerialBackend,
     SharedIncumbent,
     backend_names,
@@ -48,7 +47,6 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ProcessPoolBackend",
-    "QueueBackend",
     "SharedIncumbent",
     "backend_names",
     "get_backend",

@@ -12,15 +12,16 @@ under a name selectable via ``SaOptions(backend=...)``:
   ``jobs>1``), falling back to threads where the platform cannot
   fork/pickle;
 * ``"thread"`` — the GIL-bound thread pool, forced;
-* ``"queue"`` — restarts serialised as JSON task envelopes (built on
-  ``SolveRequest``'s round-trip format) and served by a worker loop:
-  the wire format for moving the portfolio beyond one box, driven
-  in-process here so it is fully testable locally;
-* ``"socket"`` — those same envelopes over length-prefixed JSON frames
-  on loopback TCP to spawned ``python -m repro.sa.worker`` processes,
-  with heartbeat liveness monitoring, bounded deterministic retries and
-  graceful degradation to in-driver execution
-  (:mod:`repro.sa.transport`).
+* ``"socket"`` — restarts serialised as JSON task envelopes (built on
+  ``SolveRequest``'s round-trip format, :mod:`repro.sa.backends.queue`)
+  and sent as length-prefixed JSON frames on loopback TCP to spawned
+  ``python -m repro.sa.worker`` processes, with heartbeat liveness
+  monitoring, bounded deterministic retries and graceful degradation
+  to in-driver execution (:mod:`repro.sa.transport`);
+* ``"queue"`` — the socket backend with zero workers: the same
+  envelopes run through the driver's in-process worker loop, so the
+  wire format is fully testable locally (reported as executor
+  ``"queue"``).
 
 All backends share one :class:`~repro.sa.backends.incumbent.SharedIncumbent`
 per portfolio run (best objective + a provable lower bound) and, with
@@ -51,7 +52,6 @@ from repro.sa.backends.base import (
 from repro.sa.backends.incumbent import SharedIncumbent
 from repro.sa.backends.pool import ProcessPoolBackend
 from repro.sa.backends.queue import (
-    QueueBackend,
     QueueWorker,
     decode_restart_result,
     decode_restart_task,
@@ -60,18 +60,18 @@ from repro.sa.backends.queue import (
 )
 from repro.sa.backends.serial import SerialBackend
 
-def _socket_backend_factory():
+def _socket_backend_factory(**kwargs):
     # Imported lazily: the transport package imports this module (for
     # the envelope codec), so a top-level import would be circular.
     from repro.sa.transport.socket_backend import SocketTransportBackend
 
-    return SocketTransportBackend()
+    return SocketTransportBackend(**kwargs)
 
 
 register_backend(SerialBackend.name, SerialBackend)
 register_backend("process", ProcessPoolBackend)
 register_backend("thread", lambda: ProcessPoolBackend(use_threads=True))
-register_backend(QueueBackend.name, QueueBackend)
+register_backend("queue", lambda: _socket_backend_factory(workers=0))
 register_backend("socket", _socket_backend_factory)
 
 __all__ = [
@@ -79,7 +79,6 @@ __all__ = [
     "ExecutionBackend",
     "PortfolioPlan",
     "ProcessPoolBackend",
-    "QueueBackend",
     "QueueWorker",
     "RestartOutcome",
     "RestartTask",

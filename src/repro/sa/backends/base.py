@@ -106,6 +106,23 @@ class PortfolioPlan:
         """True iff pruning is on and ``restart`` provably cannot win."""
         return self.prune and self.incumbent.proves_unbeatable(restart)
 
+    def skip(self, restart: int, run: BackendRun) -> bool:
+        """Apply the cancel/prune rule to ``restart`` before it starts.
+
+        Restart 0 is never cancelled by the deadline (the caller needs a
+        solution); any later restart is once the deadline has passed,
+        and any restart the incumbent proves unable to win is pruned.
+        Counts the skip on ``run`` and returns True iff the restart
+        must not run.
+        """
+        if restart > 0 and self.expired():
+            run.cancelled += 1
+            return True
+        if self.should_prune(restart):
+            run.pruned += 1
+            return True
+        return False
+
     def publish(self, outcome: RestartOutcome) -> None:
         """Record a finished restart on the shared incumbent."""
         self.incumbent.publish(outcome.objective6, outcome.restart)

@@ -1,4 +1,4 @@
-"""Queue execution: restarts as JSON task envelopes, workers as loops.
+"""The restart wire format: JSON task envelopes in, result envelopes out.
 
 This is the wire format for moving the portfolio beyond one box.  Each
 restart is serialised into a *task envelope* — a JSON document built on
@@ -7,8 +7,9 @@ task carries everything a remote worker needs (instance, parameters,
 single-run options, seed) and nothing it doesn't (no pickled arrays, no
 process state).  A worker decodes the envelope, rebuilds the
 coefficients, runs the anneal and returns a *result envelope*; both
-sides are plain JSON strings, so any transport (an in-memory deque here,
-a real message queue on a sharded deployment) can carry them.
+sides are plain JSON strings, so any transport (the socket driver's
+in-process loop, a TCP connection, a real message queue) can carry
+them.
 
 Determinism contract:
 
@@ -26,17 +27,17 @@ Determinism contract:
   task is a pure function of the envelope, the retry reproduces exactly
   the outcome the failed attempt would have returned.
 
-The :class:`QueueBackend` here drives an in-process worker loop so the
-whole protocol is testable locally; ``jobs`` does not parallelise it
-(that is what the ``"process"`` backend is for) — the queue backend's
-value is the envelope protocol itself.
+The ``"queue"`` backend is
+:class:`~repro.sa.transport.socket_backend.SocketTransportBackend` with
+zero workers: its driver runs every envelope through a
+:class:`QueueWorker` in-process, so the whole protocol is testable
+locally; ``jobs`` does not parallelise it (that is what the
+``"process"`` backend is for).
 """
 
 from __future__ import annotations
 
 import json
-import time
-from collections import deque
 from dataclasses import asdict
 from typing import Any
 
@@ -45,13 +46,11 @@ import numpy as np
 from repro.costmodel.coefficients import CostCoefficients, build_coefficients
 from repro.exceptions import OptionsError
 from repro.sa.backends.base import (
-    BackendRun,
-    PortfolioPlan,
     RestartOutcome,
     RestartTask,
     restart_options,
+    run_restart,
 )
-from repro.sa.backends.retry import RetryTracker, validate_max_retries
 from repro.sa.options import SaOptions
 
 #: Version stamp of both envelope documents.  Version 2 extended the
@@ -90,9 +89,9 @@ def encode_restart_task(
     round-trips through the same format a service front end would
     accept.  ``remaining`` folds what is left of a portfolio budget into
     the run's ``time_limit`` at dispatch time.  Retry bookkeeping stays
-    driver-side (:attr:`QueueBackend.failures`) so a retried task
-    re-encodes to the exact same bytes — transports can use the
-    envelope itself as a dedup/idempotency key.
+    driver-side (:class:`~repro.sa.backends.retry.RetryTracker`) so a
+    retried task re-encodes to the exact same bytes — transports can
+    use the envelope itself as a dedup/idempotency key.
     """
     from repro.api.request import SolveRequest
 
@@ -125,50 +124,45 @@ def encode_restart_task(
     return json.dumps(envelope, sort_keys=True)
 
 
-def decode_restart_task(envelope: str) -> dict[str, Any]:
-    """Parse and validate a task envelope (returns the payload dict)."""
+def _load_envelope(envelope: str, kind: str) -> dict[str, Any]:
+    """Parse an envelope and check its version stamp and kind."""
     payload = json.loads(envelope)
     version = payload.get("format_version")
     if version != ENVELOPE_FORMAT_VERSION:
         raise OptionsError(
-            f"unsupported task envelope format_version {version!r} "
+            f"unsupported {kind!r} envelope format_version {version!r} "
             f"(this build reads version {ENVELOPE_FORMAT_VERSION})"
         )
-    if payload.get("kind") != TASK_KIND:
+    if payload.get("kind") != kind:
         raise OptionsError(
-            f"expected a {TASK_KIND!r} envelope, got kind {payload.get('kind')!r}"
+            f"expected a {kind!r} envelope, got kind {payload.get('kind')!r}"
         )
     return payload
+
+
+def decode_restart_task(envelope: str) -> dict[str, Any]:
+    """Parse and validate a task envelope (returns the payload dict)."""
+    return _load_envelope(envelope, TASK_KIND)
 
 
 # ----------------------------------------------------------------------
 # Result envelopes (worker -> driver)
 # ----------------------------------------------------------------------
-def encode_restart_result(
-    restart: int,
-    seed: int | None,
-    x: np.ndarray,
-    y: np.ndarray,
-    objective6: float,
-    iterations: int,
-    accepted: int,
-    accepted_worse: int,
-    outer_loops: int,
-) -> str:
+def encode_restart_result(outcome: RestartOutcome) -> str:
     """Serialise one finished restart.  Deterministic fields only — no
     wall-clock — so replaying a task envelope is byte-identical."""
     envelope = {
         "format_version": ENVELOPE_FORMAT_VERSION,
         "kind": RESULT_KIND,
-        "restart": restart,
-        "seed": seed,
-        "objective6": float(objective6),
-        "x": np.asarray(x, dtype=int).tolist(),
-        "y": np.asarray(y, dtype=int).tolist(),
-        "iterations": int(iterations),
-        "accepted": int(accepted),
-        "accepted_worse": int(accepted_worse),
-        "outer_loops": int(outer_loops),
+        "restart": outcome.restart,
+        "seed": outcome.seed,
+        "objective6": float(outcome.objective6),
+        "x": np.asarray(outcome.x, dtype=int).tolist(),
+        "y": np.asarray(outcome.y, dtype=int).tolist(),
+        "iterations": int(outcome.iterations),
+        "accepted": int(outcome.accepted),
+        "accepted_worse": int(outcome.accepted_worse),
+        "outer_loops": int(outcome.outer_loops),
     }
     return json.dumps(envelope, sort_keys=True)
 
@@ -179,17 +173,7 @@ def decode_restart_result(envelope: str, wall_time: float = 0.0) -> RestartOutco
     ``wall_time`` is supplied by the driver (it is transport-dependent
     and deliberately not part of the wire format).
     """
-    payload = json.loads(envelope)
-    version = payload.get("format_version")
-    if version != ENVELOPE_FORMAT_VERSION:
-        raise OptionsError(
-            f"unsupported result envelope format_version {version!r} "
-            f"(this build reads version {ENVELOPE_FORMAT_VERSION})"
-        )
-    if payload.get("kind") != RESULT_KIND:
-        raise OptionsError(
-            f"expected a {RESULT_KIND!r} envelope, got kind {payload.get('kind')!r}"
-        )
+    payload = _load_envelope(envelope, RESULT_KIND)
     return RestartOutcome(
         restart=int(payload["restart"]),
         seed=payload["seed"],
@@ -215,27 +199,20 @@ def _check_wire_safe(coefficients: CostCoefficients) -> None:
     contract, so they are refused up front.  One canonical rebuild per
     portfolio run — the same work every queue worker does per task.
     """
+
+    def arrays(c: CostCoefficients) -> tuple[np.ndarray, ...]:
+        ind = c.indicators
+        return (c.weights, c.c1, c.c2, c.c3, c.c4, ind.alpha, ind.beta,
+                ind.gamma, ind.delta, ind.phi, ind.rows)
+
     rebuilt = build_coefficients(coefficients.instance, coefficients.parameters)
-    shipped_arrays = (
-        coefficients.weights, coefficients.c1, coefficients.c2,
-        coefficients.c3, coefficients.c4,
-        coefficients.indicators.alpha, coefficients.indicators.beta,
-        coefficients.indicators.gamma, coefficients.indicators.delta,
-        coefficients.indicators.phi, coefficients.indicators.rows,
-    )
-    rebuilt_arrays = (
-        rebuilt.weights, rebuilt.c1, rebuilt.c2, rebuilt.c3, rebuilt.c4,
-        rebuilt.indicators.alpha, rebuilt.indicators.beta,
-        rebuilt.indicators.gamma, rebuilt.indicators.delta,
-        rebuilt.indicators.phi, rebuilt.indicators.rows,
-    )
-    for shipped, canonical in zip(shipped_arrays, rebuilt_arrays):
+    for shipped, canonical in zip(arrays(coefficients), arrays(rebuilt)):
         if shipped.shape != canonical.shape or not np.array_equal(
             shipped, canonical
         ):
             raise OptionsError(
-                "the queue backend ships (instance, parameters) and "
-                "rebuilds coefficients canonically, but these "
+                "the queue and socket backends ship (instance, "
+                "parameters) and rebuild coefficients canonically, but these "
                 "coefficients differ from build_coefficients(instance, "
                 "parameters) — non-canonical coefficients (custom "
                 "indicators or edited arrays) cannot go over the wire; "
@@ -254,7 +231,6 @@ class QueueWorker:
 
     def run(self, envelope: str) -> str:
         from repro.api.request import SolveRequest
-        from repro.sa.annealer import SimulatedAnnealer
 
         payload = decode_restart_task(envelope)
         request = SolveRequest.from_dict(payload["request"])
@@ -271,90 +247,15 @@ class QueueWorker:
                 request.migration_cost,
                 request.num_sites,
             )
-        annealer = SimulatedAnnealer(coefficients, request.num_sites, options)
-        x, y, objective6 = annealer.run()
+        # The envelope already holds single-run options, so the
+        # restart_options pass inside run_restart changes nothing.
         return encode_restart_result(
-            restart=int(payload["restart"]),
-            seed=request.seed,
-            x=x,
-            y=y,
-            objective6=objective6,
-            iterations=annealer.trace.iterations,
-            accepted=annealer.trace.accepted,
-            accepted_worse=annealer.trace.accepted_worse,
-            outer_loops=annealer.trace.outer_loops,
-        )
-
-
-class QueueBackend:
-    """Drive the restart queue with an in-process worker loop.
-
-    Tasks are enqueued in restart order and popped FIFO; a task whose
-    worker raises is requeued at the back until it has been attempted
-    ``max_retries + 1`` times, after which the portfolio fails with
-    :class:`~repro.exceptions.SolverError` (a lost restart would
-    silently change the best-of-N result, which the determinism
-    contract forbids).
-    """
-
-    name = "queue"
-
-    def __init__(
-        self, worker: QueueWorker | None = None, max_retries: int | None = None
-    ):
-        self.worker = worker or QueueWorker()
-        # Validated eagerly: a negative budget is a misconfiguration,
-        # not "never retry" (that is what 0 means).
-        self.max_retries = (
-            None if max_retries is None else validate_max_retries(max_retries)
-        )
-        #: Per-restart *failed* attempt counts of the last run (for
-        #: tests/metrics); fault-free restarts never appear here.
-        self.failures: dict[int, int] = {}
-
-    def run(self, plan: PortfolioPlan) -> BackendRun:
-        _check_wire_safe(plan.coefficients)
-        max_retries = (
-            plan.options.max_retries
-            if self.max_retries is None
-            else self.max_retries
-        )
-        # No backoff for the in-process loop: there is no remote worker
-        # to give breathing room to, and sleeping would only slow tests.
-        tracker = RetryTracker(max_retries, label="queue worker")
-        self.failures = tracker.failures
-        run = BackendRun(outcomes=[], kind=self.name)
-        queue: deque[RestartTask] = deque(plan.tasks())
-        while queue:
-            task = queue.popleft()
-            if task.restart > 0 and plan.expired():
-                run.cancelled += 1
-                continue
-            if plan.should_prune(task.restart):
-                run.pruned += 1
-                continue
-            envelope = encode_restart_task(
-                plan.coefficients,
-                plan.num_sites,
-                plan.options,
-                task,
-                remaining=plan.remaining(),
+            run_restart(
+                coefficients,
+                request.num_sites,
+                options,
+                int(payload["restart"]),
+                request.seed,
+                deadline=None,
             )
-            started = time.perf_counter()
-            try:
-                result = self.worker.run(envelope)
-            except Exception as error:
-                # Raises SolverError once the restart's budget is spent.
-                tracker.record_failure(task.restart, task.seed, error)
-                queue.append(task)
-                continue
-            outcome = decode_restart_result(
-                result, wall_time=time.perf_counter() - started
-            )
-            plan.publish(outcome)
-            run.outcomes.append(outcome)
-        run.outcomes.sort(key=lambda outcome: outcome.restart)
-        run.retried_restarts = tracker.retried_restarts
-        run.requeue_count = tracker.requeues
-        run.worker_failures = tracker.total_failures
-        return run
+        )

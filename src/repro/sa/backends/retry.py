@@ -1,50 +1,32 @@
-"""The shared retry/requeue core of the fault-tolerant backends.
+"""The retry/requeue core of the socket backend.
 
-Both the in-process :class:`~repro.sa.backends.queue.QueueBackend` and
-the :class:`~repro.sa.transport.socket_backend.SocketTransportBackend`
-obey the same contract when a worker fails mid-restart: the restart is
-requeued and retried — safely, because a task envelope is a pure
-function of ``(restart, seed, single-run options)`` so the retry
+:class:`~repro.sa.transport.socket_backend.SocketTransportBackend` —
+its remote workers and its in-driver loop (the ``"queue"`` backend)
+alike — obeys one contract when a worker fails mid-restart: the
+restart is requeued and retried — safely, because a task envelope is a
+pure function of ``(restart, seed, single-run options)`` so the retry
 reproduces exactly the outcome the failed attempt would have returned —
-until the per-restart attempt budget (``max_retries`` failed attempts)
-is spent, at which point the portfolio fails with
-:class:`~repro.exceptions.SolverError`.  A silently lost restart would
-change the best-of-N result, which the determinism contract forbids.
+until the per-restart attempt budget is spent, at which point the
+portfolio fails with :class:`~repro.exceptions.SolverError`.  The
+budget is ``SaOptions.max_retries``, the only retry budget (validated
+there).  A silently lost restart would change the best-of-N result,
+which the determinism contract forbids.
 
 Retries wait out an exponential backoff whose jitter is *deterministic*,
 derived from the restart's seed and the attempt number — so a retry
 storm spreads out in wall-clock without introducing any nondeterminism
-into scheduling decisions that tests replay.
+into scheduling decisions that tests replay.  The in-driver loop
+retries without waiting.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.exceptions import OptionsError, SolverError
+from repro.exceptions import SolverError
 
 #: Backoff delays never exceed this many seconds, however many attempts.
 BACKOFF_CAP = 30.0
-
-
-def validate_max_retries(max_retries: int) -> int:
-    """Check a ``max_retries`` budget eagerly, before any solve starts.
-
-    A negative budget is a configuration error, not "never retry" —
-    that is what ``0`` means — so it raises
-    :class:`~repro.exceptions.OptionsError` instead of silently
-    disabling the fault tolerance the caller asked for.
-    """
-    if not isinstance(max_retries, int) or isinstance(max_retries, bool):
-        raise OptionsError(
-            f"max_retries must be an integer >= 0, got {max_retries!r}"
-        )
-    if max_retries < 0:
-        raise OptionsError(
-            f"max_retries must be >= 0, got {max_retries} "
-            f"(0 means failed restarts are never retried)"
-        )
-    return max_retries
 
 
 def backoff_delay(
@@ -84,7 +66,7 @@ class RetryTracker:
         backoff_base: float = 0.0,
         label: str = "worker",
     ):
-        self.max_retries = validate_max_retries(max_retries)
+        self.max_retries = max_retries
         self.backoff_base = backoff_base
         self.label = label
         #: Per-restart *failed* attempt counts; fault-free restarts
@@ -97,11 +79,6 @@ class RetryTracker:
     def retried_restarts(self) -> int:
         """Distinct restarts that failed at least once."""
         return len(self.failures)
-
-    @property
-    def total_failures(self) -> int:
-        """Failed attempts across all restarts."""
-        return sum(self.failures.values())
 
     def record_failure(
         self, restart: int, seed: int | None, error: BaseException | str

@@ -20,11 +20,7 @@ class SerialBackend:
     def run(self, plan: PortfolioPlan) -> BackendRun:
         run = BackendRun(outcomes=[], kind=self.name)
         for task in plan.tasks():
-            if task.restart > 0 and plan.expired():
-                run.cancelled += 1
-                continue
-            if plan.should_prune(task.restart):
-                run.pruned += 1
+            if plan.skip(task.restart, run):
                 continue
             outcome = run_restart(
                 plan.coefficients,

@@ -14,6 +14,18 @@ from repro.exceptions import OptionsError
 INITIAL_WORSE_FRACTION = 0.05
 INITIAL_ACCEPT_PROBABILITY = 0.5
 
+#: The count fields of :class:`SaOptions`: integers (``bool`` excluded);
+#: ``workers`` may also be ``None``.
+_COUNT_FIELDS = (
+    "inner_loops",
+    "max_outer_loops",
+    "patience",
+    "restarts",
+    "jobs",
+    "workers",
+    "max_retries",
+)
+
 
 def check_seed(seed: Any) -> None:
     """Raise :class:`~repro.exceptions.OptionsError` unless ``seed`` is
@@ -81,9 +93,10 @@ class SaOptions:
     portfolio_time_limit: float | None = None
     #: Execution backend for the restart portfolio: a name registered in
     #: :mod:`repro.sa.backends` ("serial", "process", "thread",
-    #: "queue"), or ``None`` for the historical default (serial for one
-    #: worker slot, the process pool otherwise).  The returned best is
-    #: bitwise identical per master seed whatever the backend.
+    #: "socket", or "queue" — the socket backend with zero workers), or
+    #: ``None`` for the historical default (serial for one worker slot,
+    #: the process pool otherwise).  The returned best is bitwise
+    #: identical per master seed whatever the backend.
     backend: str | None = None
     #: Publish the best objective between restarts on a shared incumbent
     #: and skip restarts provably unable to beat it (the incumbent has
@@ -92,8 +105,9 @@ class SaOptions:
     prune: bool = False
     #: Worker processes the ``"socket"`` transport backend spawns
     #: (``None`` = one per usable job slot).  ``0`` is legal and runs
-    #: the whole portfolio through the transport's in-driver degraded
-    #: mode — the same code path a drained worker pool falls back to.
+    #: the whole portfolio through the transport's in-driver loop —
+    #: what the ``"queue"`` backend always does, and what a drained
+    #: worker pool falls back to.
     workers: int | None = None
     #: Failed attempts allowed *per restart* on the fault-tolerant
     #: backends ("queue", "socket") before the portfolio fails with
@@ -110,7 +124,8 @@ class SaOptions:
     #: Base of the exponential retry backoff in seconds: attempt ``k``
     #: of a restart waits ``~ backoff_base * 2**(k-1)`` scaled by a
     #: deterministic jitter derived from the restart seed.  ``0``
-    #: disables backoff (the in-process queue backend's setting).
+    #: disables backoff.  The in-driver loop (the ``"queue"`` backend,
+    #: or a drained pool) never waits, whatever this is set to.
     backoff_base: float = 0.05
     #: Incumbent layout to warm-start from, as the JSON dictionary form
     #: of :class:`~repro.partition.current_layout.CurrentLayout`
@@ -132,6 +147,12 @@ class SaOptions:
         fail before any annealing starts, not minutes into it.
         """
         check_seed(self.seed)
+        for name in _COUNT_FIELDS:
+            value = getattr(self, name)
+            if value is None and name == "workers":
+                continue
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise OptionsError(f"{name} must be an integer, got {value!r}")
         if self.inner_loops < 1:
             raise OptionsError("inner_loops must be >= 1")
         if not 0.0 < self.cooling_rate < 1.0:

@@ -2,8 +2,8 @@
 
 The driver listens on a loopback port, spawns ``workers`` remote worker
 processes (``python -m repro.sa.worker --connect ...``), and schedules
-the portfolio's restart tasks over the connections with the same
-at-least-once discipline the queue backend rehearses in-process:
+the portfolio's restart tasks over the connections with an
+at-least-once discipline:
 
 * every dispatched TASK frame must be ACKed; a task that is neither
   acknowledged nor resolved within the heartbeat timeout is presumed
@@ -26,7 +26,9 @@ at-least-once discipline the queue backend rehearses in-process:
   degrades gracefully: the remaining restarts run in-driver through the
   very same task envelopes (a
   :class:`~repro.sa.backends.queue.QueueWorker` loop), so the result is
-  still bitwise identical — only slower;
+  still bitwise identical — only slower.  ``workers=0`` runs that loop
+  from the start: it is the registered ``"queue"`` backend, and such a
+  run reports ``executor == "queue"``;
 * every recorded outcome is published to the shared incumbent and
   broadcast to all workers (INCUMBENT frames), so
   ``objective6_lower_bound`` pruning fires across boxes — with the PR 5
@@ -118,12 +120,14 @@ class SocketTransportBackend:
 
     ``workers`` overrides ``SaOptions.workers`` (``None`` falls back to
     the portfolio's ``jobs`` slots; ``0`` runs everything in-driver —
-    the degraded mode, available explicitly).  ``spawn`` selects how
-    workers come up: ``"process"`` execs ``python -m repro.sa.worker``,
-    ``"thread"`` runs the same worker loop in daemon threads (fast, for
-    tests — the protocol path is identical).  ``fault_plan`` replays a
-    deterministic :class:`~repro.sa.transport.faults.FaultPlan` against
-    the connections (chaos tests only).
+    the ``"queue"`` backend).  ``spawn`` selects how workers come up:
+    ``"process"`` execs ``python -m repro.sa.worker``, ``"thread"`` runs
+    the same worker loop in daemon threads (fast, for tests — the
+    protocol path is identical).  ``fault_plan`` replays a deterministic
+    :class:`~repro.sa.transport.faults.FaultPlan` against the
+    connections, and ``worker`` replaces the in-driver
+    :class:`~repro.sa.backends.queue.QueueWorker` (both for fault
+    injection in tests).
     """
 
     name = "socket"
@@ -134,6 +138,7 @@ class SocketTransportBackend:
         fault_plan: FaultPlan | None = None,
         spawn: str = "process",
         connect_timeout: float = 15.0,
+        worker: QueueWorker | None = None,
     ):
         if spawn not in ("process", "thread"):
             raise OptionsError(
@@ -145,6 +150,7 @@ class SocketTransportBackend:
         self.fault_plan = fault_plan or FaultPlan()
         self.spawn = spawn
         self.connect_timeout = connect_timeout
+        self.worker = worker or QueueWorker()
 
     def run(self, plan: PortfolioPlan) -> BackendRun:
         _check_wire_safe(plan.coefficients)
@@ -168,12 +174,13 @@ class _Driver:
         self.options = plan.options
         self.config = config
         self.workers = workers
+        kind = "socket" if workers > 0 else "queue"
         self.tracker = RetryTracker(
             self.options.max_retries,
             backoff_base=self.options.backoff_base,
-            label="socket worker",
+            label=f"{kind} worker",
         )
-        self.record = BackendRun(outcomes=[], kind="socket")
+        self.record = BackendRun(outcomes=[], kind=kind)
         self.total = len(plan.seeds)
         #: [task, not-before] dispatch queue (monotonic not-before
         #: implements the retry backoff).
@@ -200,7 +207,7 @@ class _Driver:
     # ------------------------------------------------------------------
     def run(self) -> BackendRun:
         if self.workers <= 0:
-            # Explicit degraded mode: no pool, everything in-driver.
+            # The "queue" backend: no pool, everything in-driver.
             self._drain_in_driver()
             return self._finish()
         self.listener = socket.create_server(("127.0.0.1", 0))
@@ -413,8 +420,8 @@ class _Driver:
     # Scheduling
     # ------------------------------------------------------------------
     def _next_task(self, now: float) -> RestartTask | None:
-        """Pop the first dispatchable pending task, applying the same
-        cancel/prune discipline as the queue backend on the way."""
+        """Pop the first dispatchable pending task, applying the
+        portfolio's cancel/prune rule on the way."""
         keep: list[list] = []
         chosen: RestartTask | None = None
         for entry in self.pending:
@@ -424,13 +431,8 @@ class _Driver:
                 continue
             if task.restart in self.done:
                 continue  # superseded by a completed duplicate
-            if task.restart > 0 and self.plan.expired():
+            if self.plan.skip(task.restart, self.record):
                 self.done.add(task.restart)
-                self.record.cancelled += 1
-                continue
-            if self.plan.should_prune(task.restart):
-                self.done.add(task.restart)
-                self.record.pruned += 1
                 continue
             if not_before > now:
                 keep.append(entry)
@@ -605,17 +607,20 @@ class _Driver:
             pass  # scheduled deaths and driver teardown are expected
 
     # ------------------------------------------------------------------
-    # Degraded mode
+    # In-driver execution
     # ------------------------------------------------------------------
     def _drain_in_driver(self) -> None:
         """Run everything still owed through the queue-worker loop.
 
-        Same envelope encode/decode path as the remote workers, so the
+        The only in-process envelope loop: it serves the ``"queue"``
+        backend (zero workers) and a drained worker pool alike.  Same
+        envelope encode/decode path as the remote workers, so the
         outcomes — and hence the portfolio best — stay bitwise
-        identical; retry bookkeeping keeps running so a poisoned
+        identical; a failed run is requeued at the back without
+        backoff, and the retry bookkeeping keeps running so a poisoned
         restart still fails loudly instead of looping.
         """
-        worker = QueueWorker()
+        worker = self.config.worker
         self.pending = [[task, 0.0] for task, _ in self.pending]
         while len(self.done) < self.total:
             task = self._next_task(time.monotonic())

@@ -25,6 +25,7 @@ against an in-process server).
 from __future__ import annotations
 
 import asyncio
+import logging
 import threading
 from typing import Any
 
@@ -49,6 +50,8 @@ from repro.service.wire import (
     report_to_wire,
     write_frame,
 )
+
+_log = logging.getLogger(__name__)
 
 
 class AdvisorServer:
@@ -203,17 +206,22 @@ class AdvisorServer:
         client: str,
     ) -> None:
         request_id = frame.get("id")
+        # Every advise frame gets an answer: any failure, of decoding
+        # or of the solve, becomes a structured error frame instead of
+        # leaving the client waiting for a reply that never comes.
         try:
             request = SolveRequest.from_dict(frame["request"])
-        except (ReproError, KeyError, TypeError, ValueError) as error:
+        except Exception as error:
             async with write_lock:
                 await write_frame(
                     writer, KIND_ERROR, id=request_id,
-                    message=f"undecodable request: {error}",
+                    message=f"undecodable request: "
+                            f"{type(error).__name__}: {error}",
                 )
             return
         try:
             report = await self.service.submit(request, client=client)
+            wire_report = report_to_wire(report)
         except RejectedError as rejection:
             async with write_lock:
                 await write_frame(
@@ -223,7 +231,9 @@ class AdvisorServer:
                     message=str(rejection),
                 )
             return
-        except ReproError as error:
+        except Exception as error:
+            if not isinstance(error, ReproError):
+                _log.exception("advise request %r failed", request_id)
             async with write_lock:
                 await write_frame(
                     writer, KIND_ERROR, id=request_id,
@@ -232,8 +242,7 @@ class AdvisorServer:
             return
         async with write_lock:
             await write_frame(
-                writer, KIND_REPORT, id=request_id,
-                report=report_to_wire(report),
+                writer, KIND_REPORT, id=request_id, report=wire_report
             )
 
 

@@ -180,6 +180,24 @@ class TestArtifactSchemas:
         with pytest.raises(ArtifactError, match="unknown artifact family"):
             validate_artifact({"bench": "mystery"})
 
+    def test_write_artifact_refuses_a_malformed_payload(
+        self, tmp_path, monkeypatch
+    ):
+        """The schema is checked at write time: a malformed payload
+        raises instead of landing on disk."""
+        from repro.bench.artifact import write_artifact
+
+        monkeypatch.setenv("REPRO_BENCH_ARTIFACT_DIR", str(tmp_path))
+        payload = {
+            "bench": "drift", "profile": "test", "seed": 0,
+            "generated_at": "now", "rows": [],
+        }  # misses migration_cost
+        notes: list[str] = []
+        with pytest.raises(ArtifactError, match="migration_cost"):
+            write_artifact("BENCH_drift.json", payload, notes)
+        assert not (tmp_path / "BENCH_drift.json").exists()
+        assert notes == []
+
 
 # ----------------------------------------------------------------------
 # The no-wall-clock convention, enforced mechanically

@@ -6,6 +6,7 @@ byte-identically, worker faults are retried without losing determinism,
 and pruning only ever skips restarts that cannot win.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -28,13 +29,13 @@ from repro.model.workload import Query, Transaction, Workload
 from repro.sa.backends import (
     BackendRun,
     PortfolioPlan,
-    QueueBackend,
     QueueWorker,
     SerialBackend,
     SharedIncumbent,
     backend_names,
     decode_restart_result,
     decode_restart_task,
+    encode_restart_result,
     encode_restart_task,
     get_backend,
     register_backend,
@@ -44,6 +45,7 @@ from repro.sa.backends.queue import ENVELOPE_FORMAT_VERSION
 from repro.sa.options import SaOptions
 from repro.sa.portfolio import derive_restart_seeds, run_portfolio
 from repro.sa.solver import SaPartitioner
+from repro.sa.transport import SocketTransportBackend
 from tests.conftest import random_feasible_solution, small_random_instance
 
 FAST = dict(inner_loops=6, max_outer_loops=6)
@@ -204,6 +206,32 @@ class TestBackendParity:
         np.testing.assert_array_equal(queue.x, serial.x)
         assert queue.metadata["executor"] == "queue"
 
+    def test_queue_is_the_socket_backend_with_zero_workers(
+        self, coefficients, per_backend
+    ):
+        """The registered "queue" backend and an explicit zero-worker
+        socket backend run the same in-driver loop: equal outcomes,
+        equal resilience counters, and both report the "queue"
+        executor."""
+        options = SaOptions(seed=11, restarts=4, **FAST)
+        queued = per_backend["queue"]
+        socket0 = run_portfolio(
+            coefficients, 3, options, backend=SocketTransportBackend(workers=0)
+        )
+        assert isinstance(get_backend("queue"), SocketTransportBackend)
+        assert socket0.executor == queued.executor == "queue"
+        assert socket0.best_restart == queued.best_restart
+        # The result codec covers every deterministic outcome field.
+        assert len(socket0.outcomes) == 4
+        assert [encode_restart_result(o) for o in socket0.outcomes] == [
+            encode_restart_result(o) for o in queued.outcomes
+        ]
+        counters = ("cancelled", "pruned", "retried_restarts",
+                    "requeue_count", "worker_failures")
+        assert [getattr(socket0, name) for name in counters] == [
+            getattr(queued, name) for name in counters
+        ]
+
 
 class TestAutoBackendDisambiguation:
     """"backend" names the MIP backend for "qp" and the execution
@@ -306,6 +334,32 @@ class TestQueueEnvelopes:
         np.testing.assert_array_equal(outcome.y, direct.y)
         assert outcome.iterations == direct.metadata["iterations"]
 
+    def test_envelope_bytes_pinned(self, coefficients):
+        """SHA-256 of one task and one result envelope: the wire bytes
+        must not move while ENVELOPE_FORMAT_VERSION stays 4.  The
+        result leg uses the read-only instance, whose every objective
+        is an exact integer, so the pin does not hang on float
+        rounding."""
+        task = encode_restart_task(
+            coefficients, 3, SaOptions(seed=11, restarts=4, **FAST),
+            RestartTask(restart=1, seed=5),
+        )
+        assert hashlib.sha256(task.encode()).hexdigest() == (
+            "ea5819c9a2918f905d4e7fe4d3672aa34fd7ebd2090789d71948f77ebc4a0ef8"
+        )
+        flat = build_coefficients(
+            read_only_instance(), CostParameters(load_balance_lambda=1.0)
+        )
+        result = QueueWorker().run(
+            encode_restart_task(
+                flat, 2, SaOptions(seed=7, **FAST), RestartTask(0, 7)
+            )
+        )
+        assert hashlib.sha256(result.encode()).hexdigest() == (
+            "329f61e31102947d7f1dd364723226ab6037618eb46b1ef598a5d3c2a1a91a8b"
+        )
+        assert ENVELOPE_FORMAT_VERSION == 4
+
     def test_queue_rejects_non_canonical_coefficients(self, coefficients):
         """The wire format ships (instance, parameters) only; edited
         coefficient arrays must be refused, not silently re-derived."""
@@ -380,12 +434,15 @@ class TestQueueFaults:
         reference = run_portfolio(coefficients, 3, options, backend="serial")
 
         worker = FlakyWorker({1: 1, 2: 2})
-        backend = QueueBackend(worker=worker, max_retries=2)
+        backend = SocketTransportBackend(workers=0, worker=worker)
         portfolio = run_portfolio(coefficients, 3, options, backend=backend)
 
         # every restart completed despite the mid-restart faults ...
         assert len(portfolio.outcomes) == 4
-        assert backend.failures == {1: 1, 2: 2}
+        assert portfolio.executor == "queue"
+        assert portfolio.retried_restarts == 2
+        assert portfolio.requeue_count == 3
+        assert portfolio.worker_failures == 3
         # ... the failed tasks went to the back of the queue ...
         assert worker.seen == [0, 1, 2, 3, 1, 2, 2]
         # ... and the best is bitwise identical to the serial reference.
@@ -397,23 +454,22 @@ class TestQueueFaults:
 
     def test_exhausted_retries_raise(self, coefficients):
         worker = FlakyWorker({0: 99})
-        backend = QueueBackend(worker=worker, max_retries=1)
+        backend = SocketTransportBackend(workers=0, worker=worker)
         with pytest.raises(SolverError, match="restart 0"):
             run_portfolio(
                 coefficients, 3,
-                SaOptions(seed=11, restarts=2, **FAST),
+                SaOptions(seed=11, restarts=2, max_retries=1, **FAST),
                 backend=backend,
             )
+        assert worker.seen == [0, 1, 0]
 
     def test_negative_max_retries_rejected_at_construction(self):
         """A negative budget is a misconfiguration, not 'never retry' —
         it fails eagerly, before any solve starts."""
         with pytest.raises(OptionsError, match="max_retries"):
-            QueueBackend(max_retries=-1)
-        with pytest.raises(OptionsError, match="max_retries"):
             SaOptions(max_retries=-1)
         # 0 is legal and means: failed restarts are never retried.
-        assert QueueBackend(max_retries=0).max_retries == 0
+        assert SaOptions(max_retries=0).max_retries == 0
 
 
 # ----------------------------------------------------------------------

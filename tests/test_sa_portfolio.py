@@ -188,6 +188,11 @@ class TestOptionsValidation:
             (dict(exact_time_limit=0.0), "exact_time_limit"),
             (dict(patience=0), "patience"),
             (dict(inner_loops=0), "inner_loops"),
+            (dict(max_retries=True), "max_retries"),
+            (dict(max_retries=1.5), "max_retries"),
+            (dict(max_retries="2"), "max_retries"),
+            (dict(workers="2"), "workers"),
+            (dict(restarts="3"), "restarts"),
         ],
     )
     def test_bad_options_raise_eagerly(self, kwargs, match):

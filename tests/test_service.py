@@ -484,6 +484,36 @@ class TestSocketService:
         assert answer["id"] == 1
         assert "seed" in answer["message"]
 
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            pytest.param(lambda payload: [1], id="request-is-a-list"),
+            pytest.param(
+                lambda payload: {**payload, "instance": "x"},
+                id="instance-is-a-string",
+            ),
+        ],
+    )
+    def test_malformed_request_gets_an_error_frame(self, mangle):
+        """Regression: a request whose decoding raised a bare exception
+        outside the handled families (``AttributeError`` here) left the
+        client waiting until its timeout."""
+        from repro.service.wire import KIND_ADVISE
+
+        payload = sa_request(small_random_instance(24), seed=1).to_dict()
+        with ServerThread() as server:
+            with ServiceClient(
+                "127.0.0.1", server.port, timeout=10.0
+            ) as client:
+                client.endpoint.send(
+                    KIND_ADVISE, id=7, request=mangle(payload)
+                )
+                answer = client.endpoint.recv(10.0)
+        assert answer is not None, "the service never replied"
+        assert answer["kind"] == "error"
+        assert answer["id"] == 7
+        assert "undecodable request" in answer["message"]
+
     def test_handshake_rejects_wrong_envelope(self):
         from repro.sa.transport.protocol import Endpoint
         import socket as socket_module
