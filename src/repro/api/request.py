@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
+from numbers import Integral, Real
 from types import MappingProxyType
 from typing import Any, Mapping
 
@@ -238,43 +240,61 @@ class SolveRequest:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "SolveRequest":
+        """Decode :meth:`to_dict`'s document.
+
+        Every field outside ``instance`` is type-checked: a malformed
+        value raises :class:`OptionsError` naming the field.
+        """
+        if not isinstance(payload, Mapping):
+            raise OptionsError(
+                f"request must be a JSON object, got {type(payload).__name__}"
+            )
         version = payload.get("format_version", REQUEST_FORMAT_VERSION)
         if version != REQUEST_FORMAT_VERSION:
             raise OptionsError(
                 f"unsupported request format_version {version!r} "
                 f"(this build reads version {REQUEST_FORMAT_VERSION})"
             )
-        parameters = payload.get("parameters") or {}
+        parameters = _mapping(payload, "parameters")
         return cls(
             instance=instance_from_dict(payload["instance"]),
-            num_sites=int(payload["num_sites"]),
+            num_sites=_integer(payload.get("num_sites"), "num_sites"),
             parameters=CostParameters(
-                network_penalty=parameters.get(
-                    "network_penalty", DEFAULT_NETWORK_PENALTY
+                network_penalty=_number(
+                    parameters.get("network_penalty", DEFAULT_NETWORK_PENALTY),
+                    "parameters.network_penalty",
                 ),
-                load_balance_lambda=parameters.get(
-                    "load_balance_lambda", DEFAULT_LAMBDA
+                load_balance_lambda=_number(
+                    parameters.get("load_balance_lambda", DEFAULT_LAMBDA),
+                    "parameters.load_balance_lambda",
                 ),
-                write_accounting=WriteAccounting(
+                write_accounting=_write_accounting(
                     parameters.get("write_accounting", "all")
                 ),
-                latency_penalty=parameters.get("latency_penalty", 0.0),
+                latency_penalty=_number(
+                    parameters.get("latency_penalty", 0.0),
+                    "parameters.latency_penalty",
+                ),
             ),
-            allow_replication=bool(payload.get("allow_replication", True)),
+            allow_replication=_boolean(
+                payload.get("allow_replication", True), "allow_replication"
+            ),
             strategy=payload.get("strategy", "auto"),
-            options=dict(payload.get("options") or {}),
+            options=_mapping(payload, "options"),
             seed=payload.get("seed"),
-            time_limit=payload.get("time_limit"),
+            time_limit=_number(payload.get("time_limit"), "time_limit", optional=True),
             compression=payload.get("compression", "off"),
-            compression_tolerance=float(
-                payload.get("compression_tolerance", 0.0)
-            ),
+            compression_tolerance=float(_number(
+                payload.get("compression_tolerance", 0.0), "compression_tolerance"
+            )),
             current_layout=(
                 None
                 if payload.get("current_layout") is None
                 else CurrentLayout.from_dict(payload["current_layout"])
             ),
-            migration_cost=float(payload.get("migration_cost", 0.0)),
+            migration_cost=float(
+                _number(payload.get("migration_cost", 0.0), "migration_cost")
+            ),
         )
 
     def to_json(self, **dumps_kwargs: Any) -> str:
@@ -311,3 +331,55 @@ class SolveRequest:
         """
         digest = hashlib.sha256(self.canonical_json().encode("utf-8"))
         return digest.hexdigest()
+
+
+# ----------------------------------------------------------------------
+# Field decoders for SolveRequest.from_dict
+# ----------------------------------------------------------------------
+def _mapping(payload: Mapping[str, Any], name: str) -> dict[str, Any]:
+    """An optional JSON-object field (absent or null decodes as ``{}``)."""
+    value = payload.get(name)
+    if value is None:
+        return {}
+    if not isinstance(value, Mapping):
+        raise OptionsError(
+            f"{name} must be a JSON object, got {type(value).__name__}"
+        )
+    return dict(value)
+
+
+def _integer(value: Any, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise OptionsError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _number(value: Any, name: str, optional: bool = False) -> Any:
+    """A finite JSON number, unchanged (so the request re-encodes
+    identically).  Python's JSON reader accepts ``NaN`` and
+    ``Infinity``, which no range check below would catch."""
+    if value is None and optional:
+        return None
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, Real)
+        or not math.isfinite(value)
+    ):
+        raise OptionsError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
+def _boolean(value: Any, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise OptionsError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _write_accounting(value: Any) -> WriteAccounting:
+    known = [accounting.value for accounting in WriteAccounting]
+    if not isinstance(value, str) or value not in known:
+        raise OptionsError(
+            f"parameters.write_accounting must be one of {', '.join(known)}, "
+            f"got {value!r}"
+        )
+    return WriteAccounting(value)

@@ -12,7 +12,8 @@ from repro.costmodel.evaluator import SolutionEvaluator
 from repro.exceptions import SolverError, SolverLimitError
 from repro.model.instance import ProblemInstance
 from repro.partition.assignment import PartitioningResult
-from repro.qp.linearize import LinearizationCache, build_linearized_model
+from repro.qp.linearize import LinearizationCache, build_linearized_model, model_layout
+from repro.solver.model import solve_arrays
 from repro.solver.solution import SolutionStatus
 
 #: The paper's MIP tolerance gap (Section 5: 0.1%).
@@ -67,7 +68,7 @@ class QpPartitioner:
             "variables": model.num_variables,
             "integer_variables": model.num_integer_variables,
             "constraints": model.num_constraints,
-            "u_variables": len(self.linearized.u_vars),
+            "u_variables": self.linearized.u_vars.size,
         }
 
     @staticmethod
@@ -84,50 +85,10 @@ class QpPartitioner:
         :func:`~repro.qp.linearize.build_linearized_model` would create,
         from the coefficient sparsity alone — cheap enough to drive the
         ``"auto"`` strategy's QP-vs-SA cutoff (the paper's Section VI
-        scalability limit) on every request.
+        scalability limit) on every request.  ``allow_replication``
+        only changes the sense of the ``place_y`` rows, not the counts.
         """
-        parameters = coefficients.parameters
-        lam = parameters.load_balance_lambda
-        num_transactions = coefficients.num_transactions
-        num_attributes = coefficients.num_attributes
-        indicators = coefficients.indicators
-
-        need_pair = (coefficients.c1 != 0) | ((lam < 1.0) & (coefficients.c3 != 0))
-        num_psi = 0
-        latency_active = latency and parameters.latency_penalty > 0
-        if latency:
-            write_alpha = (
-                indicators.alpha * indicators.delta[None, :]
-            ) @ indicators.gamma
-            need_pair = need_pair | (write_alpha > 0)
-        if latency_active:
-            for q_index in np.flatnonzero(indicators.delta > 0):
-                if (indicators.alpha[:, q_index] > 0).any():
-                    num_psi += 1
-        load_side = lam < 1.0
-
-        num_u = int(need_pair.sum()) * num_sites
-        num_binary = (num_transactions + num_attributes) * num_sites + num_psi
-        num_variables = num_u + num_binary + (1 if load_side else 0)
-        num_symmetry = sum(
-            num_sites - (t + 1)
-            for t in range(min(num_transactions, num_sites - 1))
-        )
-        num_constraints = (
-            num_transactions  # place_x
-            + num_attributes  # place_y (>= or == depending on replication)
-            + int(coefficients.phi_bool.sum()) * num_sites  # co-location
-            + 3 * num_u  # linearisation triples
-            + (num_sites if load_side else 0)  # load rows
-            + 2 * num_psi  # psi bounds
-            + (num_symmetry if symmetry_breaking else 0)
-        )
-        return {
-            "variables": num_variables,
-            "integer_variables": num_binary,
-            "constraints": num_constraints,
-            "u_variables": num_u,
-        }
+        return model_layout(coefficients, num_sites, latency, symmetry_breaking).sizes()
 
     def _greedy_warm_start(self) -> PartitioningResult:
         """A feasible starting solution from the SA greedy sub-solvers."""
@@ -187,7 +148,8 @@ class QpPartitioner:
             else:
                 warm_x, warm_y = warm_start.x, warm_start.y
             incumbent = self.linearized.incumbent_vector(warm_x, warm_y)
-        solution = self.linearized.model.solve(
+        solution = solve_arrays(
+            self.linearized.model,
             backend=backend,
             time_limit=time_limit,
             gap=gap,
@@ -198,11 +160,11 @@ class QpPartitioner:
             if solution.status is SolutionStatus.NO_SOLUTION:
                 raise SolverLimitError(
                     f"QP solver found no integer solution within limits "
-                    f"(model {self.linearized.model.name})"
+                    f"(model {self.linearized.name})"
                 )
             raise SolverError(
                 f"QP solve failed with status {solution.status.value} "
-                f"(model {self.linearized.model.name})"
+                f"(model {self.linearized.name})"
             )
         x, y = self.linearized.extract(solution.values)
         evaluator = SolutionEvaluator(self.coefficients)

@@ -12,12 +12,15 @@ stack ourselves:
 * a scipy/HiGHS backend for large models
   (:mod:`repro.solver.scipy_backend`).
 
-``MipModel.solve(backend="auto")`` picks the from-scratch solver for
-tiny models and HiGHS otherwise; both are cross-checked in the tests.
+``solve_arrays(arrays, backend="auto")`` (and ``MipModel.solve``, which
+converts and calls it) picks the from-scratch solver for tiny models and
+HiGHS otherwise; both are cross-checked in the tests.  The QP path
+builds model (7) directly as :class:`StandardArrays`; the modelling
+layer serves the small exact sub-MIPs of the annealer and the tests.
 """
 
 from repro.solver.expr import LinExpr, Variable, Constraint, Sense
-from repro.solver.model import MipModel, ObjectiveSense, StandardArrays
+from repro.solver.model import MipModel, ObjectiveSense, StandardArrays, solve_arrays
 from repro.solver.solution import MipSolution, SolutionStatus
 from repro.solver.simplex import SimplexResult, solve_lp_simplex
 from repro.solver.branch_and_bound import BranchAndBoundOptions, solve_mip_bnb
@@ -31,6 +34,7 @@ __all__ = [
     "MipModel",
     "ObjectiveSense",
     "StandardArrays",
+    "solve_arrays",
     "MipSolution",
     "SolutionStatus",
     "SimplexResult",

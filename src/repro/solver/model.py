@@ -49,6 +49,64 @@ class StandardArrays:
     def num_constraints(self) -> int:
         return self.rhs.shape[0]
 
+    @property
+    def num_integer_variables(self) -> int:
+        return int(self.integrality.sum())
+
+    def to_standard_arrays(self) -> "StandardArrays":
+        """The arrays themselves, so code that reads a model's array form
+        takes a :class:`MipModel` and a model built as arrays alike."""
+        return self
+
+
+def solve_arrays(
+    arrays: StandardArrays,
+    backend: str = "auto",
+    time_limit: float | None = None,
+    gap: float = 1e-3,
+    node_limit: int | None = None,
+    incumbent: np.ndarray | None = None,
+) -> MipSolution:
+    """Solve a minimisation model in array form.
+
+    Parameters
+    ----------
+    backend:
+        ``"scratch"`` (from-scratch simplex + branch & bound),
+        ``"scipy"`` (HiGHS via scipy), or ``"auto"`` (scratch up to
+        :data:`AUTO_SCRATCH_LIMIT` variables, scipy above).
+    time_limit:
+        Wall-clock budget in seconds (None = unlimited).
+    gap:
+        Relative MIP gap at which the search stops (the paper used
+        0.1%; default here 0.1% as well).
+    node_limit:
+        Branch-and-bound node budget (scratch backend only).
+    incumbent:
+        Optional warm-start solution (scratch backend only); must be
+        feasible, used as the initial upper bound.
+    """
+    if backend == "auto":
+        backend = "scratch" if arrays.num_variables <= AUTO_SCRATCH_LIMIT else "scipy"
+    started = time.perf_counter()
+    if backend == "scratch":
+        from repro.solver.branch_and_bound import BranchAndBoundOptions, solve_mip_bnb
+
+        options = BranchAndBoundOptions(
+            time_limit=time_limit,
+            relative_gap=gap,
+            node_limit=node_limit or 200_000,
+        )
+        solution = solve_mip_bnb(arrays, options=options, incumbent=incumbent)
+    elif backend == "scipy":
+        from repro.solver.scipy_backend import solve_mip_scipy
+
+        solution = solve_mip_scipy(arrays, time_limit=time_limit, gap=gap)
+    else:
+        raise SolverError(f"unknown backend {backend!r}")
+    solution.wall_time = time.perf_counter() - started
+    return solution
+
 
 class MipModel:
     """A mixed-integer linear program under construction.
@@ -103,23 +161,6 @@ class MipModel:
             constraint.name = f"c{len(self.constraints)}"
         self.constraints.append(constraint)
         return constraint
-
-    def clone_structure(self, name: str | None = None) -> "MipModel":
-        """A new model sharing this model's variables and constraints.
-
-        The clone starts with an empty objective; variables and
-        constraints are shared by reference (they are not mutated by
-        solving), while the containers are copied so later additions to
-        either model stay local to it.  Used to re-price a model whose
-        constraint skeleton is unchanged — e.g. across the points of a
-        parameter sweep — without rebuilding thousands of expression
-        objects.
-        """
-        clone = MipModel(name or self.name)
-        clone.variables = list(self.variables)
-        clone.constraints = list(self.constraints)
-        clone._names = set(self._names)
-        return clone
 
     def minimize(self, expression: LinExpr | Variable) -> None:
         self._objective = expression.to_expr() if isinstance(expression, Variable) else expression
@@ -207,44 +248,16 @@ class MipModel:
         node_limit: int | None = None,
         incumbent: np.ndarray | None = None,
     ) -> MipSolution:
-        """Solve the model.
-
-        Parameters
-        ----------
-        backend:
-            ``"scratch"`` (from-scratch simplex + branch & bound),
-            ``"scipy"`` (HiGHS via scipy), or ``"auto"``.
-        time_limit:
-            Wall-clock budget in seconds (None = unlimited).
-        gap:
-            Relative MIP gap at which the search stops (the paper used
-            0.1%; default here 0.1% as well).
-        node_limit:
-            Branch-and-bound node budget (scratch backend only).
-        incumbent:
-            Optional warm-start solution (scratch backend only); must be
-            feasible, used as the initial upper bound.
-        """
-        arrays = self.to_standard_arrays()
-        if backend == "auto":
-            backend = "scratch" if arrays.num_variables <= AUTO_SCRATCH_LIMIT else "scipy"
-        started = time.perf_counter()
-        if backend == "scratch":
-            from repro.solver.branch_and_bound import BranchAndBoundOptions, solve_mip_bnb
-
-            options = BranchAndBoundOptions(
-                time_limit=time_limit,
-                relative_gap=gap,
-                node_limit=node_limit or 200_000,
-            )
-            solution = solve_mip_bnb(arrays, options=options, incumbent=incumbent)
-        elif backend == "scipy":
-            from repro.solver.scipy_backend import solve_mip_scipy
-
-            solution = solve_mip_scipy(arrays, time_limit=time_limit, gap=gap)
-        else:
-            raise SolverError(f"unknown backend {backend!r}")
-        solution.wall_time = time.perf_counter() - started
+        """Solve the model with :func:`solve_arrays` (same parameters);
+        a maximisation reports its objective and bound un-negated."""
+        solution = solve_arrays(
+            self.to_standard_arrays(),
+            backend=backend,
+            time_limit=time_limit,
+            gap=gap,
+            node_limit=node_limit,
+            incumbent=incumbent,
+        )
         if solution.objective is not None and self._sense is ObjectiveSense.MAXIMIZE:
             solution.objective = -solution.objective
             if solution.bound is not None:

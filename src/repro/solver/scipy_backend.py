@@ -16,16 +16,17 @@ from repro.solver.simplex import SimplexResult
 from repro.solver.solution import MipSolution, SolutionStatus
 
 
+def _sense_masks(arrays: StandardArrays) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean ``(<=, >=)`` row masks; the remaining rows are ``==``."""
+    senses = np.array(arrays.senses, dtype=object)
+    return senses == Sense.LE, senses == Sense.GE
+
+
 def _constraint_bounds(arrays: StandardArrays) -> tuple[np.ndarray, np.ndarray]:
-    lb = np.full(arrays.num_constraints, -np.inf)
-    ub = np.full(arrays.num_constraints, np.inf)
-    for row, sense in enumerate(arrays.senses):
-        if sense is Sense.LE:
-            ub[row] = arrays.rhs[row]
-        elif sense is Sense.GE:
-            lb[row] = arrays.rhs[row]
-        else:
-            lb[row] = ub[row] = arrays.rhs[row]
+    """Row bounds ``lb <= A x <= ub`` of the constraint senses."""
+    less, greater = _sense_masks(arrays)
+    lb = np.where(less, -np.inf, arrays.rhs)
+    ub = np.where(greater, np.inf, arrays.rhs)
     return lb, ub
 
 
@@ -37,30 +38,24 @@ def solve_lp_scipy(
     """Solve the LP relaxation with ``scipy.optimize.linprog`` (HiGHS)."""
     lower = arrays.lower if lower is None else lower
     upper = arrays.upper if upper is None else upper
-    lb, ub = _constraint_bounds(arrays)
-    a_ub_rows = []
-    b_ub = []
-    a_eq_rows = []
-    b_eq = []
-    matrix = arrays.matrix
-    for row, sense in enumerate(arrays.senses):
-        if sense is Sense.LE:
-            a_ub_rows.append(matrix.getrow(row))
-            b_ub.append(arrays.rhs[row])
-        elif sense is Sense.GE:
-            a_ub_rows.append(-matrix.getrow(row))
-            b_ub.append(-arrays.rhs[row])
-        else:
-            a_eq_rows.append(matrix.getrow(row))
-            b_eq.append(arrays.rhs[row])
-    a_ub = sparse.vstack(a_ub_rows) if a_ub_rows else None
-    a_eq = sparse.vstack(a_eq_rows) if a_eq_rows else None
+    less, greater = _sense_masks(arrays)
+    inequality = less | greater
+    equality = ~inequality
+    # ">=" rows enter A_ub negated; rows keep their model order.
+    sign = np.where(greater, -1.0, 1.0)[inequality]
+    a_ub = b_ub = a_eq = b_eq = None
+    if inequality.any():
+        a_ub = sparse.diags(sign) @ arrays.matrix[inequality]
+        b_ub = sign * arrays.rhs[inequality]
+    if equality.any():
+        a_eq = arrays.matrix[equality]
+        b_eq = arrays.rhs[equality]
     result = optimize.linprog(
         arrays.objective,
         A_ub=a_ub,
-        b_ub=np.asarray(b_ub) if b_ub else None,
+        b_ub=b_ub,
         A_eq=a_eq,
-        b_eq=np.asarray(b_eq) if b_eq else None,
+        b_eq=b_eq,
         bounds=list(zip(lower, upper)),
         method="highs",
     )

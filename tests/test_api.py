@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -118,6 +119,32 @@ class TestSolveRequest:
         payload["format_version"] = 99
         with pytest.raises(OptionsError):
             SolveRequest.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("num_sites", [], "num_sites"),
+            ("num_sites", 2.5, "num_sites"),
+            ("time_limit", "x", "time_limit"),
+            ("options", [1], "options"),
+            ("parameters", "x", "parameters"),
+            ("parameters", {"write_accounting": "bogus"}, "write_accounting"),
+            ("parameters", {"latency_penalty": []}, "latency_penalty"),
+            ("compression_tolerance", {}, "compression_tolerance"),
+            ("migration_cost", [], "migration_cost"),
+            ("allow_replication", "false", "allow_replication"),
+            ("time_limit", float("nan"), "time_limit"),
+            ("parameters", {"network_penalty": float("nan")}, "network_penalty"),
+        ],
+    )
+    def test_malformed_fields_rejected(self, tiny_instance, field, value, named):
+        """Regression: these decoded to a bare ``TypeError`` /
+        ``AttributeError`` / ``ValueError``, or (``"false"``, ``2.5``,
+        ``NaN``) to a wrong request."""
+        payload = SolveRequest(tiny_instance, 2).to_dict()
+        payload[field] = value
+        with pytest.raises(OptionsError, match=named):
+            SolveRequest.from_json(json.dumps(payload))
 
     @pytest.mark.parametrize("seed", [-1, True, 1.5, "3"])
     def test_invalid_seed_rejected(self, tiny_instance, seed):

@@ -286,7 +286,8 @@ class TestNoWallClockConvention:
 # ----------------------------------------------------------------------
 def test_perfbench_boundaries_resolve():
     """Every boundary ``perfbench/tracing.py`` patches still exists, and
-    a traced anneal reaches the SA boundaries through the patched names.
+    a traced anneal and a traced QP solve reach the SA and QP boundaries
+    through the patched names.
 
     A refactor under ``src/`` that renames one of them, or binds a
     neighbourhood function where the patch cannot see it, would
@@ -297,6 +298,8 @@ def test_perfbench_boundaries_resolve():
 
     from repro.costmodel.coefficients import build_coefficients
     from repro.costmodel.config import CostParameters
+    from repro.qp.linearize import LinearizationCache
+    from repro.qp.solver import QpPartitioner
     from repro.sa.annealer import SimulatedAnnealer
     from tests.conftest import small_random_instance
 
@@ -329,12 +332,20 @@ def test_perfbench_boundaries_resolve():
             )
             annealer.run()
             iterations[disjoint] = annealer.trace.iterations
+        partitioner = QpPartitioner(
+            coefficients, 2, linearization_cache=LinearizationCache()
+        )
+        partitioner.solve(backend="scipy")
     finally:
         patches.remove()
     stats = recorder.stats()
     for name in ("sa.anneal.replicated", "sa.anneal.disjoint",
-                 "sa.cover", "sa.place", "costmodel.incremental"):
+                 "sa.cover", "sa.place", "costmodel.incremental",
+                 "qp.build", "qp.linearization", "solver.highs"):
         assert stats.get(name, {}).get("calls", 0) > 0, name
+    counters = recorder.counters()
+    assert counters["qp.model.variables"] == partitioner.model_size["variables"]
+    assert counters["qp.model.constraints"] == partitioner.model_size["constraints"]
     # A replicated iteration perturbs x (merge or move) and y; a
     # disjoint one moves components: every call must hit a patched name.
     assert stats["sa.neighborhood"]["calls"] == (

@@ -74,6 +74,27 @@ class TestStandardArrays:
         arrays = model.to_standard_arrays()
         np.testing.assert_array_equal(arrays.integrality, [False, True])
 
+    def test_constraint_bounds_match_row_loop(self, tiny_coefficients):
+        """HiGHS row bounds equal, byte for byte, the per-row rule on a
+        model (7) mixing all three senses and ``-0.0`` right-hand sides."""
+        from repro.qp.linearize import build_linearized_model
+        from repro.solver.scipy_backend import _constraint_bounds
+
+        arrays = build_linearized_model(
+            tiny_coefficients, 3, allow_replication=False
+        ).model
+        assert set(arrays.senses) == set(Sense)
+        lb = np.full(arrays.num_constraints, -np.inf)
+        ub = np.full(arrays.num_constraints, np.inf)
+        for row, sense in enumerate(arrays.senses):
+            if sense is not Sense.LE:
+                lb[row] = arrays.rhs[row]
+            if sense is not Sense.GE:
+                ub[row] = arrays.rhs[row]
+        fast_lb, fast_ub = _constraint_bounds(arrays)
+        assert fast_lb.tobytes() == lb.tobytes()
+        assert fast_ub.tobytes() == ub.tobytes()
+
 
 class TestSolve:
     def test_maximize_reports_original_sign(self, model):
